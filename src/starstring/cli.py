@@ -22,7 +22,9 @@ from . import forward as fwd
 from . import inverse_center as ic
 from . import inverse_pendant as ip
 from . import matrixize as mx
-from .errors import InvariantViolation, PlanInfeasible, SchemaError, StarStringError
+from .errors import (
+    InvariantViolation, PlanInfeasible, RangeError, SchemaError, StarStringError,
+)
 from .model import (
     Root,
     parse_graph,
@@ -149,6 +151,10 @@ def _poly_json(p):
 
 
 def _cmd_forward(args):
+    if args.refine_width <= 0:
+        raise RangeError(f"--refine-width must be > 0, got {args.refine_width}")
+    if args.digits < 0:
+        raise RangeError(f"--digits must be >= 0, got {args.digits}")
     graph = parse_graph(_read(args.graph, "graph"))
     neumann, dirichlet = fwd.graph_spectra(graph)
     _write(args.out, _dump_json(_spectra_json(neumann, dirichlet, args)))
@@ -327,9 +333,9 @@ def _build_parser():
     p.add_argument("--as-frequencies", action="store_true",
                    help="emit +-sqrt(z) decimals instead of exact squared values")
     p.add_argument("--digits", type=int, default=0,
-                   help="decimal output with this many places (approximate)")
+                   help="decimal output with this many places, >= 0 (approximate)")
     p.add_argument("--refine-width", type=Fraction, default=DEFAULT_REFINE_WIDTH,
-                   help="interval refinement width for irrational roots")
+                   help="interval refinement width for irrational roots, > 0")
     common_output(p)
     p.set_defaults(func=_cmd_forward)
 

@@ -2,10 +2,21 @@
 
 Roots of rational polynomials are located with Sturm sequences computed on
 the square-free part (integer arithmetic with primitive pseudo-remainders,
-so coefficient growth stays tame).  Rational roots are recovered exactly via
-a smallest-denominator search inside each isolating interval; the remaining
-roots are kept as (square-free factor, isolating interval) pairs that can be
-refined and compared without ever guessing a strict inequality.
+so coefficient growth stays tame).  Each root that is not hit exactly comes
+out as an isolating interval (lo, hi) of a square-free integer polynomial.
+
+All refinement runs on one integer bisection kernel, ``_bisect``.  It
+walks dyadic points y = k/2**e of the interval's own coordinate,
+x = lo + (hi - lo)*y, and evaluates the polynomial's sign there
+homogeneously in integers, so a bisection step builds no Fraction and
+takes no gcd.  A root's k/2**e path depends only on its interval, so the
+deepest path found so far serves every later refinement.
+
+A root is classified rational or irrational by bisecting to width at most
+1/lc**2 and testing one candidate, the smallest-denominator rational in the
+interval (see ``RootVal._classify``).  Irrational roots stay as
+(polynomial, isolating interval) pairs that can be refined and compared
+without ever guessing a strict inequality.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd as _igcd
 
-from .errors import DivisionByZero, NotIsolating
+from .errors import DivisionByZero, NotIsolating, RangeError
 from .poly import Poly, squarefree_factor, squarefree_part
 
 # ---------------------------------------------------------------------------
@@ -38,10 +49,14 @@ def _int_derivative(coeffs):
 
 
 def _sign_at(coeffs, x):
-    """Sign of the polynomial at the rational x, by homogeneous evaluation."""
+    """Sign of the polynomial at the rational x."""
+    return _sign_frac(coeffs, x.numerator, x.denominator)
+
+
+def _sign_frac(coeffs, p, q):
+    """Sign of the polynomial at p/q, q > 0, by homogeneous evaluation in integers."""
     if not coeffs:
         return 0
-    p, q = x.numerator, x.denominator
     acc = coeffs[-1]
     qpow = 1
     for i in range(len(coeffs) - 2, -1, -1):
@@ -129,48 +144,72 @@ def _cauchy_bound(coeffs):
 # simplest rational in an open interval
 
 
-def _floor(x):
-    return x.numerator // x.denominator
-
-
 def simplest_in_open(lo, hi):
     """The rational with the smallest denominator in the open interval (lo, hi).
 
     ``hi=None`` means +infinity.  Stern-Brocot descent on the continued
-    fraction of the endpoints.
+    fraction of the endpoints, run as a loop over integer numerators and
+    denominators and folded back once at the end.
     """
-    fl = _floor(lo)
-    cand = fl + 1
-    if hi is None or cand < hi:
-        return Fraction(cand)
-    lo2 = 1 / (hi - fl)
-    hi2 = None if lo == fl else 1 / (lo - fl)
-    y = simplest_in_open(lo2, hi2)
-    return fl + 1 / y
-
-
-def _rational_root_in(ints, lo, hi):
-    """Exact rational root of the square-free integer polynomial in (lo, hi).
-
-    The interval must isolate one root.  Returns None when that root is
-    certified irrational (any rational root's denominator divides the
-    leading coefficient, so the search has a hard stopping bound).
-    """
-    bound = abs(ints[-1])
+    ln, ld = lo.numerator, lo.denominator
+    hn, hd = (None, None) if hi is None else (hi.numerator, hi.denominator)
+    terms = []
     while True:
-        cand = simplest_in_open(lo, hi)
-        if _sign_at(ints, cand) == 0:
-            return cand
-        if cand.denominator > bound:
-            return None
-        mid = (lo + hi) / 2
-        s = _sign_at(ints, mid)
+        fl = ln // ld
+        if hn is None or (fl + 1) * hd < hn:
+            break
+        terms.append(fl)
+        # (lo, hi) <- (1/(hi - fl), 1/(lo - fl)), the latter +infinity at lo == fl
+        rest = ln - fl * ld
+        ln, ld, hn, hd = hd, hn - fl * hd, (ld if rest else None), rest
+    p, q = fl + 1, 1
+    for fl in reversed(terms):
+        p, q = fl * p + q, p
+    return Fraction(p, q)
+
+
+# ---------------------------------------------------------------------------
+# the integer bisection kernel
+
+
+def _frame(lo, hi):
+    """Integers (u, v, den) with x = (u + v*y)/den mapping y in [0, 1] onto [lo, hi]."""
+    a, b = lo.numerator, lo.denominator
+    c, d = hi.numerator, hi.denominator
+    return a * d, c * b - a * d, b * d
+
+
+def _bisect(ints, frame, left, k, e, depth):
+    """Bisect the root in [k/2**e, (k+1)/2**e] of the frame's y down to level ``depth``.
+
+    ``ints`` is square-free with exactly one root in the interval and sign
+    ``left`` at y = 0, which every left end keeps.  The point y = k/2**e is
+    x = (u*2**e + v*k)/(den*2**e), evaluated in integers.  Returns
+    (k, depth, False) for the interval [k/2**depth, (k+1)/2**depth], or
+    (m, e, True) when the midpoint m/2**e is the root itself.
+    """
+    u, v, den = frame
+    while e < depth:
+        k, e = 2 * k + 1, e + 1
+        s = _sign_frac(ints, (u << e) + v * k, den << e)
         if s == 0:
-            return mid
-        if s * _sign_at(ints, lo) < 0:
-            hi = mid
-        else:
-            lo = mid
+            return k, e, True
+        if s != left:
+            k -= 1
+    return k, e, False
+
+
+def _depth_for(num, den):
+    """Smallest e >= 0 with num/den <= 2**e, for positive integers."""
+    e = max(0, num.bit_length() - den.bit_length())
+    while num > den << e:
+        e += 1
+    return e
+
+
+def _check_width(width):
+    if width <= 0:
+        raise RangeError(f"refinement width must be > 0, got {width}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,28 +227,29 @@ class RootVal:
     integer polynomial inside an isolating interval with a strict sign
     change at the endpoints.  Comparisons are exact: equality is decided
     through polynomial gcds, order through interval refinement.
+
+    ``lo``/``hi`` are the current interval: the isolating interval
+    bisected ``_depth`` times.  ``_path`` = (k, e) is the deepest bisection
+    level computed so far, in the coordinate y of ``_frame``; every
+    shallower level is a prefix of it.  ``_left``, the sign at y = 0, is
+    found on the first bisection, so roots never refined pay nothing.
     """
 
-    __slots__ = ("rat", "ints", "factor", "lo", "hi")
+    __slots__ = ("rat", "ints", "lo", "hi", "_frame", "_left", "_path", "_depth")
 
-    def __init__(self, rat=None, ints=None, factor=None, lo=None, hi=None):
+    def __init__(self, rat=None, ints=None, lo=None, hi=None):
         self.rat = rat
         self.ints = ints
-        self.factor = factor
         self.lo = lo
         self.hi = hi
+        self._frame = None if rat is not None else _frame(lo, hi)
+        self._left = None
+        self._path = (0, 0)
+        self._depth = 0
 
     @staticmethod
     def rational(value):
         return RootVal(rat=Fraction(value))
-
-    @staticmethod
-    def algebraic(factor, lo, hi):
-        ints = factor.primitive_int()[0]
-        rv = RootVal(ints=ints, factor=factor.monic(), lo=lo, hi=hi)
-        if _sign_at(ints, lo) * _sign_at(ints, hi) >= 0:
-            raise NotIsolating("endpoints do not bracket a sign change")
-        return rv
 
     @property
     def is_rational(self):
@@ -221,23 +261,73 @@ class RootVal:
             return self.rat, self.rat
         return self.lo, self.hi
 
+    def _point(self, k, e):
+        """The point y = k/2**e of the isolating interval, as x."""
+        u, v, den = self._frame
+        return Fraction((u << e) + v * k, den << e)
+
+    def _extend(self, depth):
+        """Extend the bisection path to ``depth``; False if it hit the root exactly.
+
+        On a hit the root becomes the rational it is.
+        """
+        k, e = self._path
+        if e >= depth:
+            return True
+        if self._left is None:
+            u, _, den = self._frame
+            self._left = _sign_frac(self.ints, u, den)
+        k, e, exact = _bisect(self.ints, self._frame, self._left, k, e, depth)
+        if exact:
+            self.rat = self.lo = self.hi = self._point(k, e)
+            return False
+        self._path = (k, e)
+        return True
+
+    def _descend(self, depth):
+        """Make the current interval the isolating interval's level-``depth`` bisection."""
+        if self.rat is None and self._extend(depth):
+            k, e = self._path
+            k >>= e - depth
+            # an endpoint the descent keeps is not rebuilt
+            steps = depth - self._depth
+            was = k >> steps
+            if k != was << steps:
+                self.lo = self._point(k, depth)
+            if k + 1 != (was + 1) << steps:
+                self.hi = self._point(k + 1, depth)
+            self._depth = depth
+
     def _refine_once(self):
-        mid = (self.lo + self.hi) / 2
-        s = _sign_at(self.ints, mid)
-        if s == 0:
-            # unclassified rational root: collapse to exact form
-            self.rat = mid
-            self.lo = mid
-            self.hi = mid
-        elif s * _sign_at(self.ints, self.lo) < 0:
-            self.hi = mid
-        else:
-            self.lo = mid
+        self._descend(self._depth + 1)
+
+    def _classify(self):
+        """Decide whether the root is rational; if it is, become that rational.
+
+        Any rational root p/q of the integer polynomial has q | lc, so
+        q <= |lc|.  Two distinct rationals with denominators <= |lc| lie at
+        least 1/lc**2 apart, so once the path reaches an interval of width
+        <= 1/lc**2, the root and the interval's smallest-denominator
+        rational, both strictly inside it, coincide if the root is rational
+        at all.  One exact evaluation of that candidate then decides.  The
+        current interval is left as it was.
+        """
+        bound = abs(self.ints[-1])
+        _, v, den = self._frame
+        if not self._extend(_depth_for(v * bound * bound, den)):
+            return
+        k, e = self._path
+        cand = simplest_in_open(self._point(k, e), self._point(k + 1, e))
+        if cand.denominator <= bound and _sign_at(self.ints, cand) == 0:
+            self.rat = self.lo = self.hi = cand
 
     def refine_to_width(self, width):
+        _check_width(width)
         if self.rat is None:
-            while self.hi - self.lo > width:
-                self._refine_once()
+            _, v, den = self._frame
+            depth = _depth_for(v * width.denominator, den * width.numerator)
+            if depth > self._depth:
+                self._descend(depth)
 
     def approx(self):
         if self.rat is not None:
@@ -400,11 +490,10 @@ def isolate_real_roots(p, lo=Fraction(0), hi=None, classify_rational=True):
             if ilo == ihi:
                 found.append((RootVal.rational(ilo), mult))
                 continue
-            r = _rational_root_in(ints, ilo, ihi) if classify_rational else None
-            if r is not None:
-                found.append((RootVal.rational(r), mult))
-            else:
-                found.append((RootVal.algebraic(f, ilo, ihi), mult))
+            rv = RootVal(ints=ints, lo=ilo, hi=ihi)
+            if classify_rational:
+                rv._classify()
+            found.append((rv, mult))
     return sort_rootvals(found)
 
 
@@ -412,8 +501,10 @@ def refine_root(p, interval, width):
     """Bisect an isolating interval of p's square-free part down to ``width``.
 
     Collapses to a degenerate (r, r) interval when an exact rational root is
-    hit.  Raises NotIsolating when the endpoint signs do not bracket a root.
+    hit.  Raises NotIsolating when the endpoint signs do not bracket a root,
+    and RangeError unless ``width`` > 0.
     """
+    _check_width(width)
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     part = squarefree_part(p)
     ints = part.primitive_int()[0]
@@ -424,14 +515,6 @@ def refine_root(p, interval, width):
         return hi, hi
     if s_lo * s_hi > 0:
         raise NotIsolating(f"no sign change of the square-free part on ({lo}, {hi})")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s = _sign_at(ints, mid)
-        if s == 0:
-            return mid, mid
-        if s * s_lo < 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
+    rv = RootVal(ints=ints, lo=lo, hi=hi)
+    rv.refine_to_width(width)
+    return rv.bounds()

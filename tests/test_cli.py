@@ -218,3 +218,20 @@ def test_frequency_output(tmp_path):
     assert got["approximate"] is True
     # single eigenvalue 2: frequencies -sqrt(2), sqrt(2)
     assert got["neumann_frequencies"] == ["-1.4142", "1.4142"]
+
+
+@pytest.mark.parametrize("flag", [["--refine-width", "0"], ["--refine-width=-1/2"], ["--digits=-3"]])
+def test_forward_rejects_out_of_range_options(tmp_path, capsys, flag):
+    # the graph has irrational eigenvalues, so a zero width would be refined
+    graph = write(tmp_path / "g.json", {
+        "root": "center", "central_mass": "0",
+        "edges": [
+            {"lengths": ["1", "1", "1"], "masses": ["1", "2"]},
+            {"lengths": ["1"], "masses": []},
+        ],
+    })
+    out = tmp_path / "s.json"
+    assert main(["forward", "--graph", graph, "--out", str(out), *flag]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "E_RANGE"
+    assert not out.exists()

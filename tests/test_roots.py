@@ -1,11 +1,13 @@
 """Root isolation, refinement, exact algebraic comparison."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starstring.errors import NotIsolating
+from starstring.errors import NotIsolating, RangeError
 from starstring.poly import ONE, Poly
 from starstring.roots import (
     RootVal,
@@ -92,6 +94,15 @@ def test_refine_root_quadratic_oracle():
     assert val.eval(lo) * val.eval(hi) < 0
 
 
+@pytest.mark.parametrize("width", [F(0), F(-1, 2)])
+def test_refinement_rejects_nonpositive_width(width):
+    with pytest.raises(RangeError):
+        refine_root(P(-2, 0, 1), (F(1), F(2)), width)
+    root = isolate_real_roots(P(-2, 0, 1), F(0), None)[0][0]
+    with pytest.raises(RangeError):
+        root.refine_to_width(width)
+
+
 def test_refine_root_not_isolating():
     with pytest.raises(NotIsolating):
         refine_root(P(-2, 0, 1), (F(2), F(3)), F(1, 4))
@@ -107,6 +118,19 @@ def test_simplest_in_open():
     for q in range(1, s.denominator):
         for p in range(int(F(141, 100) * q), int(F(142, 100) * q) + 2):
             assert not (F(141, 100) < F(p, q) < F(142, 100))
+
+
+def test_simplest_in_open_deep_continued_fraction():
+    # Fib(n+1)/Fib(n) has n - 1 partial quotients; the interval forces a
+    # descent about 4400 levels deep
+    a, b = 0, 1
+    for _ in range(4400):
+        a, b = b, a + b
+    x = F(b, a)  # Fib(4401)/Fib(4400)
+    eps = F(1, 1 << 3000)
+    s = simplest_in_open(x - eps, x + eps)
+    assert x - eps < s < x + eps
+    assert s.denominator <= x.denominator
 
 
 @settings(max_examples=80, deadline=None)
@@ -135,3 +159,94 @@ def test_random_mixed_sorting(rng):
             assert flat[i].compare(flat[i + 1]) < 0
         rational_found = sorted(rv.rat for rv in flat if rv.is_rational)
         assert rational_found == rationals
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_factored(rng, sympy):
+    """Ascending integer coefficients of a random product of factors.
+
+    Rational linear factors and irreducible quadratics and cubics with real
+    roots of moderate size.  With ``monic_rest`` every factor but the first
+    linear one is monic, so that root's denominator is the full leading
+    coefficient of the product.
+    """
+    x = sympy.Symbol("x")
+    bits = rng.randint(64, 256)
+    monic_rest = rng.random() < 0.5
+
+    def big():
+        return rng.getrandbits(bits) | (1 << (bits - 1))
+
+    factors = []
+    for i in range(rng.randint(1, 3)):
+        q = 1 if monic_rest and i else big()
+        p = rng.randint(-4 * q, 4 * q)
+        while math.gcd(p, q) != 1:
+            p += 1
+        factors.append([-p, q])
+    for _ in range(rng.randint(0, 2)):
+        a = 1 if monic_rest else big()
+        while True:
+            b, c = rng.randint(-3 * a - 3, 3 * a + 3), rng.randint(-a - 3, a + 3)
+            disc = b * b - 4 * a * c
+            if disc > 0 and math.isqrt(disc) ** 2 != disc:
+                break
+        factors.append([c, b, a])
+    if rng.random() < 0.7:
+        a = 1 if monic_rest else big()
+        while True:
+            cubic = [rng.randint(-50 * a, 50 * a) for _ in range(3)] + [a]
+            if sympy.Poly(cubic[::-1], x).is_irreducible:
+                break
+        factors.append(cubic)
+    coeffs = [1]
+    for f in factors:
+        for _ in range(rng.choice((1, 1, 2))):
+            coeffs = _int_mul(coeffs, f)
+    return coeffs
+
+
+def test_isolation_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20260)
+
+    def sym(v):
+        return sympy.Rational(v.numerator, v.denominator)
+
+    for _ in range(12):
+        coeffs = _random_factored(rng, sympy)
+        p = Poly([F(c) for c in coeffs])
+        got = isolate_real_roots(p, None, None)
+        unclassified = isolate_real_roots(p, None, None, classify_rational=False)
+
+        factors = [(sympy.Poly(f, x), m) for f, m in sympy.Poly(coeffs[::-1], x).factor_list()[1]]
+        rationals = sorted(
+            (F(int(-f.nth(0)), int(f.nth(1))), m) for f, m in factors if f.degree() == 1)
+        assert [(rv.rat, m) for rv, m in got if rv.is_rational] == rationals
+        assert sum(m for _, m in got) == sum(f.count_roots() * m for f, m in factors)
+
+        assert len(unclassified) == len(got)
+        for (rv, mult), (raw, raw_mult) in zip(got, unclassified):
+            assert raw_mult == mult
+            if rv.is_rational:
+                lo, hi = raw.bounds()
+                assert lo <= rv.rat <= hi
+                continue
+            # sorting refines the two lists differently; at a common width
+            # both must be the same bisection of one isolating interval
+            lo, hi = rv.bounds()
+            rv.refine_to_width(F(1, 1 << 80))
+            raw.refine_to_width(F(1, 1 << 80))
+            assert raw.bounds() == rv.bounds()
+            inside = [(f, m) for f, m in factors if f.count_roots(sym(lo), sym(hi))]
+            assert len(inside) == 1
+            f, m = inside[0]
+            assert f.count_roots(sym(lo), sym(hi)) == 1 and f.degree() > 1 and m == mult
