@@ -27,6 +27,7 @@ from .errors import (
 )
 from .model import (
     Root,
+    _dump,
     parse_graph,
     parse_plan,
     parse_spectra,
@@ -35,10 +36,6 @@ from .model import (
 from .rational import format_rational, parse_rational
 
 DEFAULT_REFINE_WIDTH = Fraction(1, 1 << 64)
-
-
-def _dump_json(obj):
-    return (json.dumps(obj, indent=2) + "\n").encode()
 
 
 def _write(path, data):
@@ -151,19 +148,20 @@ def _poly_json(p):
 
 
 def _cmd_forward(args):
+    args.refine_width = parse_rational(args.refine_width, "--refine-width")
     if args.refine_width <= 0:
         raise RangeError(f"--refine-width must be > 0, got {args.refine_width}")
     if args.digits < 0:
         raise RangeError(f"--digits must be >= 0, got {args.digits}")
     graph = parse_graph(_read(args.graph, "graph"))
     neumann, dirichlet = fwd.graph_spectra(graph)
-    _write(args.out, _dump_json(_spectra_json(neumann, dirichlet, args)))
+    _write(args.out, _dump(_spectra_json(neumann, dirichlet, args)))
     if args.emit_polys:
         if graph.root is Root.CENTER:
             phi_n, phi_d = fwd.char_polys_center(graph)
         else:
             phi_d, phi_n = fwd.char_polys_pendant(graph)
-        _write_sibling(args.out, ".polys", _dump_json({
+        _write_sibling(args.out, ".polys", _dump({
             "phi_neumann": _poly_json(phi_n),
             "phi_dirichlet": _poly_json(phi_d),
         }))
@@ -176,17 +174,17 @@ def _cmd_inverse_center(args):
     plan = parse_plan(_read(args.plan, "plan")) if args.plan else None
     report = ic.validate_center(spectra, len(lengths))
     if not report.valid:
-        _write_sibling(args.out, ".report", _dump_json(report.to_json()))
+        _write_sibling(args.out, ".report", _dump(report.to_json()))
         return 2
     rec = ic.reconstruct_center(spectra, lengths, plan, validate=False)
     _write(args.out, serialize_graph(rec.graph))
     plan_out = rec.plan_used.to_json()
     plan_out["reusable_plan"] = rec.plan_used.as_plan().to_json()
-    _write_sibling(args.out, ".plan", _dump_json(plan_out))
+    _write_sibling(args.out, ".plan", _dump(plan_out))
     if args.enumerate:
         _write_sibling(
             args.out, ".constraints",
-            _dump_json(ic.enumerate_constraints(spectra, lengths, plan)),
+            _dump(ic.enumerate_constraints(spectra, lengths, plan)),
         )
     return 0
 
@@ -198,7 +196,7 @@ def _cmd_inverse_pendant(args):
     plan = parse_plan(_read(args.plan, "plan")) if args.plan else None
     report = ip.validate_pendant(spectra, main_length, lengths)
     if not report.valid:
-        _write_sibling(args.out, ".report", _dump_json(report.to_json()))
+        _write_sibling(args.out, ".report", _dump(report.to_json()))
         return 2
     rec = ip.reconstruct_pendant(spectra, main_length, lengths, plan, validate=False)
     _write(args.out, serialize_graph(rec.graph))
@@ -216,11 +214,11 @@ def _cmd_inverse_pendant(args):
     if rec.subgraph_plan is not None:
         details["subgraph_plan"] = rec.subgraph_plan.to_json()
         details["subgraph_plan"]["reusable_plan"] = rec.subgraph_plan.as_plan().to_json()
-    _write_sibling(args.out, ".plan", _dump_json(details))
+    _write_sibling(args.out, ".plan", _dump(details))
     if args.enumerate:
         sub = ip.validate_subgraph_data(rec.decomposition, lengths)
         details_out = {"subgraph_report": None if sub is None else sub.to_json()}
-        _write_sibling(args.out, ".constraints", _dump_json(details_out))
+        _write_sibling(args.out, ".constraints", _dump(details_out))
     return 0
 
 
@@ -234,7 +232,7 @@ def _cmd_validate(args):
             raise SchemaError("--main-length is required for pendant validation")
         main_length = parse_rational(args.main_length, "--main-length")
         report = ip.validate_pendant(spectra, main_length, lengths)
-    _write(args.out, _dump_json(report.to_json()))
+    _write(args.out, _dump(report.to_json()))
     return 0 if report.valid else 2
 
 
@@ -299,16 +297,16 @@ def _cmd_verify_roundtrip(args):
         spectra = parse_spectra(_read(args.spectra, "spectra"))
         lengths = _parse_lengths(args.lengths)
         verdict = _roundtrip_spectra(args, spectra, lengths)
-    _write(args.out, _dump_json(verdict))
+    _write(args.out, _dump(verdict))
     return 0 if verdict["pass"] else 2
 
 
 def _cmd_matrix(args):
     graph = parse_graph(_read(args.graph, "graph"))
     L, diag = mx.build_pencil(graph)
-    _write(args.out, _dump_json(mx.pencil_to_json(L, diag)))
+    _write(args.out, _dump(mx.pencil_to_json(L, diag)))
     cert = mx.interlacing_certificate(L, diag)
-    _write_sibling(args.out, ".certificate", _dump_json(cert.to_json()))
+    _write_sibling(args.out, ".certificate", _dump(cert.to_json()))
     return 0 if cert.ok else 2
 
 
@@ -334,7 +332,7 @@ def _build_parser():
                    help="emit +-sqrt(z) decimals instead of exact squared values")
     p.add_argument("--digits", type=int, default=0,
                    help="decimal output with this many places, >= 0 (approximate)")
-    p.add_argument("--refine-width", type=Fraction, default=DEFAULT_REFINE_WIDTH,
+    p.add_argument("--refine-width", default=DEFAULT_REFINE_WIDTH,
                    help="interval refinement width for irrational roots, > 0")
     common_output(p)
     p.set_defaults(func=_cmd_forward)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import Unresolved
+from .errors import InvariantViolation, Unresolved
 from .model import Root
 from .poly import ONE, Poly, poly_gcd
 from .ratfun import RationalFunction, ratfun_normalize
@@ -109,7 +109,8 @@ def _center_char_polys(edges, central_mass):
 
 def char_polys_center(graph, central_mass=None):
     """Neumann and Dirichlet characteristic polynomials, centre root."""
-    assert graph.root is Root.CENTER
+    if graph.root is not Root.CENTER:
+        raise InvariantViolation("char_polys_center needs a centre-rooted graph")
     m = graph.central_mass if central_mass is None else Fraction(central_mass)
     return _center_char_polys(graph.edges, m)
 
@@ -118,17 +119,21 @@ def char_polys_pendant(graph):
     """(phi at clamped root, phi at free root) for a pendant-rooted star.
 
     Both have degree equal to the total mass count (central mass included
-    when positive); the degree is asserted, not assumed.
+    when positive); the degree is checked, not assumed.
     """
-    assert graph.root is Root.PENDANT
+    if graph.root is not Root.PENDANT:
+        raise InvariantViolation("char_polys_pendant needs a pendant-rooted graph")
     sub_n, sub_d = _center_char_polys(graph.edges, graph.central_mass)
     main_d = main_cauer_polys(graph.main_edge, Flavor.DIRICHLET_END)
     main_n = main_cauer_polys(graph.main_edge, Flavor.NEUMANN_END)
     phi_root_dirichlet = main_d.even * sub_n + main_d.odd * sub_d
     phi_root_neumann = main_n.even * sub_n + main_n.odd * sub_d
     n = graph.spectral_size
-    assert phi_root_dirichlet.degree == n, (phi_root_dirichlet.degree, n)
-    assert phi_root_neumann.degree == n, (phi_root_neumann.degree, n)
+    if phi_root_dirichlet.degree != n or phi_root_neumann.degree != n:
+        raise InvariantViolation(
+            f"pendant characteristic polynomials have degrees {phi_root_dirichlet.degree}"
+            f" and {phi_root_neumann.degree}, expected {n}"
+        )
     return phi_root_dirichlet, phi_root_neumann
 
 
@@ -221,7 +226,8 @@ def branching_quotient(graph):
     functions; then alternate main-edge lengths and masses outward to the
     root.  Equals l0 * phi(clamped)/phi(free) as a rational function.
     """
-    assert graph.root is Root.PENDANT
+    if graph.root is not Root.PENDANT:
+        raise InvariantViolation("branching_quotient needs a pendant-rooted graph")
     cur = RationalFunction(Poly([0, -graph.central_mass]), ONE)
     for e in graph.edges:
         cur = cur + edge_quotient(e).inverse()

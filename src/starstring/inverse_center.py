@@ -235,7 +235,8 @@ def _edge_from_summand(proper_j, length):
     psi_j = proper_j + RationalFunction.constant(b_j)
     cf = cf_expand(psi_j.inverse())
     edge = Edge(cf.a, cf.b)
-    assert edge.total_length == Fraction(length), "reconstructed lengths do not sum"
+    if edge.total_length != Fraction(length):
+        raise InvariantViolation("reconstructed lengths do not sum")
     return edge
 
 

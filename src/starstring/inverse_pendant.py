@@ -101,7 +101,8 @@ def decompose_main_from_quotient(phi, main_length, gamma=None, common_zeros=()):
     lengths = list(cf.a[:cut]) + [cf.a[cut] - tail_constant]
     main = Edge(tuple(lengths), cf.b[:cut])
     if cut == cf.depth:
-        assert tail_constant > 0, "tail of the full expansion must keep a constant"
+        if tail_constant <= 0:
+            raise InvariantViolation("tail of the full expansion must keep a constant")
         tail = RationalFunction.constant(tail_constant)
     else:
         tail = cf_to_ratfun(StieltjesCF((tail_constant,) + cf.a[cut + 1:], cf.b[cut:]))
@@ -251,7 +252,8 @@ def _subgraph_edges(psi_sub, lengths, common_zeros, plan):
             cluster_part = cluster_part - RationalFunction(
                 Poly.constant(residue_of[v]), Poly([-v, 1])
             )
-        assert cluster_part.den == leftover, "pole cluster extraction mismatch"
+        if cluster_part.den != leftover:
+            raise InvariantViolation("pole cluster extraction mismatch")
         target = min(range(q), key=lambda j: (load[j], j))
         load[target] += leftover.degree
     edges = []
@@ -275,15 +277,16 @@ def reconstruct_pendant(spectra, main_length, lengths, plan=None, validate=True)
             )
     dec = decompose_main(spectra, main_length, lengths)
     psi_sub = dec.tail.inverse()
-    assert psi_sub.eval(Fraction(0)) == _sum_reciprocal(lengths), \
-        "subgraph quotient value at zero must match the given lengths"
+    if psi_sub.eval(Fraction(0)) != _sum_reciprocal(lengths):
+        raise InvariantViolation("subgraph quotient value at zero must match the given lengths")
     sub_mass, edges, plan_used = _subgraph_edges(
         psi_sub, list(lengths), dec.common_zeros, plan
     )
     if dec.tail_constant > 0:
-        assert sub_mass == 0, "positive tail constant forces a massless centre"
-    else:
-        assert sub_mass > 0, "vanishing tail constant forces a central mass"
+        if sub_mass != 0:
+            raise InvariantViolation("positive tail constant forces a massless centre")
+    elif sub_mass <= 0:
+        raise InvariantViolation("vanishing tail constant forces a central mass")
     graph = StarGraph(Root.PENDANT, sub_mass, tuple(edges), dec.main)
     return PendantReconstruction(graph, dec, plan_used, sub_mass)
 

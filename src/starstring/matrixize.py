@@ -17,7 +17,7 @@ from math import lcm as _ilcm
 
 from .errors import InvariantViolation, RequiresPositiveCentralMass, SchemaError
 from .model import Root
-from .poly import Poly
+from .poly import ONE, Poly
 from .rational import format_rational, parse_rational
 from .roots import isolate_real_roots
 
@@ -121,31 +121,54 @@ def det_rational(rows):
 
 
 def pencil_det(L, mass_diag):
-    """det(L - z*M) as an exact polynomial via evaluation and interpolation."""
+    """det(L - z*M) as an exact polynomial, by elimination on L's pattern.
+
+    The pattern of L is the graph joining i and j when L[i][j] or L[j][i]
+    is nonzero (i != j).  It must be a forest, as it is for a star pencil
+    and for its principal submatrix, a forest of chains; otherwise this
+    raises InvariantViolation.  Each tree is rooted at its lowest index and
+    eliminated from the leaves up: a vertex v with children c has
+
+        Q_v = prod_c P_c,
+        P_v = (L_vv - z*m_v)*Q_v - sum_c L_vc*L_cv*Q_c*prod_{c' != c} P_c',
+
+    the determinants of v's subtree without and with v.  The determinant is
+    the product of P over the roots.  On a chain this is the three-term
+    continuant, at the centre the Schur complement; it takes O(n^2)
+    coefficient operations.
+    """
+    e = L.entries
     n = L.dim
-    points = [Fraction(i) for i in range(n + 2)]
-    values = []
-    for x in points:
-        rows = [
-            tuple(L.entries[i][j] - (x * mass_diag[i] if i == j else 0) for j in range(n))
-            for i in range(n)
-        ]
-        values.append(det_rational(rows))
-    return _lagrange(points, values)
-
-
-def _lagrange(points, values):
-    total = Poly()
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi == 0:
+    nbrs = [[j for j in range(n) if j != i and (e[i][j] or e[j][i])] for i in range(n)]
+    parent = [None] * n
+    order = []  # preorder: every vertex after its parent
+    for root in range(n):
+        if parent[root] is not None:
             continue
-        term = Poly.constant(yi)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            term = term * Poly([-xj, 1]).scale(1 / (xi - xj))
-        total = total + term
-    return total
+        parent[root] = -1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for c in nbrs[v]:
+                if c == parent[v]:
+                    continue
+                if parent[c] is not None:
+                    raise InvariantViolation("pencil pattern is not a forest")
+                parent[c] = v
+                stack.append(c)
+    # p[v], q[v] fold in v's children one at a time; final once v is reached
+    p = [Poly([e[v][v], -mass_diag[v]]) for v in range(n)]
+    q = [ONE] * n
+    det = ONE
+    for c in reversed(order):
+        v = parent[c]
+        if v < 0:
+            det = det * p[c]
+            continue
+        p[v] = p[v] * p[c] - (q[c] * q[v]).scale(e[v][c] * e[c][v])
+        q[v] = q[v] * p[c]
+    return det
 
 
 @dataclass(frozen=True)

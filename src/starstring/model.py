@@ -72,12 +72,14 @@ class Edge:
     def from_json(obj, context="edge"):
         if not isinstance(obj, dict):
             raise SchemaError(f"{context}: expected object")
-        try:
-            lengths = [parse_rational(x, f"{context}.lengths") for x in obj["lengths"]]
-            masses = [parse_rational(x, f"{context}.masses") for x in obj["masses"]]
-        except KeyError as exc:
-            raise SchemaError(f"{context}: missing field {exc}") from exc
-        return Edge(tuple(lengths), tuple(masses))
+        fields = []
+        for key in ("lengths", "masses"):
+            if key not in obj:
+                raise SchemaError(f"{context}: missing field {key!r}")
+            if not isinstance(obj[key], list):
+                raise SchemaError(f"{context}.{key}: expected array")
+            fields.append(tuple(parse_rational(x, f"{context}.{key}") for x in obj[key]))
+        return Edge(*fields)
 
 
 @dataclass(frozen=True)
@@ -204,10 +206,15 @@ def _canonical_multiset(entries, name):
         v = Fraction(value)
         if v <= 0:
             raise InvariantViolation(f"{name}: squared eigenvalues must be positive, got {v}")
-        if not isinstance(mult, int) or mult < 1:
+        if not _is_count(mult):
             raise InvariantViolation(f"{name}: multiplicity must be a positive integer")
         merged[v] = merged.get(v, 0) + mult
     return tuple(sorted(merged.items()))
+
+
+def _is_count(mult):
+    """A positive int; JSON true and false are bools, which Python counts as ints."""
+    return isinstance(mult, int) and not isinstance(mult, bool) and mult >= 1
 
 
 def _multiset_json(entries):
@@ -225,7 +232,7 @@ def _multiset_from_json(arr, context):
             raise SchemaError(f"{context}[{i}].value: missing (exact input required)")
         value = parse_rational(item["value"], f"{context}[{i}].value")
         mult = item.get("mult", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if not _is_count(mult):
             raise SchemaError(f"{context}[{i}].mult: expected positive integer")
         out.append((value, mult))
     return tuple(out)

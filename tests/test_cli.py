@@ -235,3 +235,16 @@ def test_forward_rejects_out_of_range_options(tmp_path, capsys, flag):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "E_RANGE"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("width", ["1e-999999999", "1/0", "abc"])
+def test_forward_refine_width_is_a_parsed_rational(tmp_path, capsys, width):
+    graph = write(tmp_path / "g.json", {
+        "root": "center", "central_mass": "1",
+        "edges": [{"lengths": ["1"], "masses": []}, {"lengths": ["1"], "masses": []}],
+    })
+    out = tmp_path / "s.json"
+    assert main(["forward", "--graph", graph, "--out", str(out), "--refine-width", width]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "E_SCHEMA"
+    assert not out.exists()

@@ -2,6 +2,9 @@
 
 from fractions import Fraction as F
 
+import pytest
+
+from starstring.errors import InvariantViolation
 from starstring.forward import (
     Flavor,
     char_polys_center,
@@ -98,6 +101,12 @@ class TestCharPolysCenter:
         rf, _ = ratfun_normalize(phi_n, phi_d)
         expect, _ = ratfun_normalize(P(3, -3), P(2, -1))
         assert rf == expect
+
+    def test_pendant_root_raises_invariant_violation(self):
+        # a real exception, so the check survives python -O
+        g = StarGraph(Root.PENDANT, F(0), (SINGLE_BEAD,), SINGLE_BEAD)
+        with pytest.raises(InvariantViolation):
+            char_polys_center(g)
 
 
 class TestCharPolysPendant:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from starstring.errors import RequiresPositiveCentralMass
+from starstring.errors import InvariantViolation, RequiresPositiveCentralMass
 from starstring.forward import char_polys_center
 from starstring.matrixize import (
     RationalMatrix,
@@ -16,7 +16,7 @@ from starstring.matrixize import (
 )
 from starstring.model import Edge, Root, StarGraph
 from starstring.poly import Poly
-from tests.conftest import random_center_graph
+from tests.conftest import duplicated_edge_center_graph, random_center_graph
 
 BEAD = Edge((F(1), F(1)), (F(1),))
 
@@ -107,3 +107,29 @@ def test_json_shape():
     assert obj["M_diag"] == ["1", "1", "1"]
     assert obj["L"][0] == ["2", "-1", "-1"]
     assert RationalMatrix.from_json(obj["L"]) == L
+
+
+def _pencil_at(L, diag, x):
+    n = L.dim
+    return [[L.entries[i][j] - (x * diag[i] if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def test_pencil_det_matches_dense_determinant(rng):
+    points = (F(0), F(1), F(-3, 2), F(7, 5), F(40))
+    graphs = [random_center_graph(rng, q_max=5, max_masses=3, mass_choices=(1, F(3, 2)))
+              for _ in range(10)]
+    graphs += [duplicated_edge_center_graph(rng, copies=3, mass_choices=(1, 2)) for _ in range(5)]
+    assert any(e.mass_count == 0 for g in graphs for e in g.edges)
+    for g in graphs:
+        L, diag = build_pencil(g)
+        for M, d in ((L, diag), (L.principal_submatrix(), diag[1:])):
+            p = pencil_det(M, d)
+            assert p.degree == M.dim
+            for x in points:
+                assert p.eval(x) == det_rational(_pencil_at(M, d, x))
+
+
+def test_pencil_det_rejects_cyclic_pattern():
+    cycle = RationalMatrix(((F(2), F(-1), F(-1)), (F(-1), F(2), F(-1)), (F(-1), F(-1), F(2))))
+    with pytest.raises(InvariantViolation):
+        pencil_det(cycle, (F(1), F(1), F(1)))

@@ -19,6 +19,7 @@ from starstring.model import (
     serialize_plan,
     serialize_spectra,
 )
+from starstring.rational import MAX_DECIMAL_EXPONENT, parse_rational
 from tests.conftest import random_center_graph, random_pendant_graph
 
 
@@ -74,6 +75,27 @@ def test_schema_error_context():
     assert "root" in str(err.value)
 
 
+def test_edge_fields_must_be_arrays():
+    # a string iterates like an array: "12" would read as lengths (1, 2)
+    with pytest.raises(SchemaError) as err:
+        parse_graph(b'{"root": "center", "central_mass": "1", '
+                    b'"edges": [{"lengths": "12", "masses": "3"}, '
+                    b'{"lengths": ["1"], "masses": []}]}')
+    assert "lengths" in str(err.value)
+
+
+def test_spectra_reject_boolean_multiplicity():
+    # JSON true is a Python bool, which isinstance(.., int) accepts as 1
+    with pytest.raises(SchemaError) as err:
+        parse_spectra(b'{"neumann_squared": [{"value": "1", "mult": true}], '
+                      b'"dirichlet_squared": []}')
+    assert "mult" in str(err.value)
+    with pytest.raises(InvariantViolation):
+        SpectrumPair(((F(1), True),), ())
+    with pytest.raises(SchemaError):
+        parse_spectra(b'{"neumann_squared": [{"value": true}], "dirichlet_squared": []}')
+
+
 def test_invariant_from_json():
     with pytest.raises(InvariantViolation):
         parse_graph(b'{"root": "center", "central_mass": "0", '
@@ -103,6 +125,16 @@ def test_spectra_decimal_parsing():
     s = parse_spectra(b'{"neumann_squared": [{"value": "0.5", "mult": 1}], '
                       b'"dirichlet_squared": []}')
     assert s.neumann_sq == ((F(1, 2), 1),)
+
+
+def test_decimal_exponent_is_bounded():
+    # unbounded, Fraction would build a billion-digit power of ten
+    for text in ("1e999999999", "1E-999999999", "2.5e+1001"):
+        with pytest.raises(SchemaError) as err:
+            parse_rational(text, "x")
+        assert "exponent" in str(err.value)
+    assert parse_rational("1e1000") == 10 ** MAX_DECIMAL_EXPONENT
+    assert parse_rational("-25e-1") == F(-5, 2)
 
 
 def test_spectra_reject_nonpositive():
