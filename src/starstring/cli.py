@@ -6,7 +6,8 @@ model module; all values are exact rationals unless a decimal output mode
 is requested (decimal output is explicitly labelled approximate).  Output
 is deterministic: identical inputs produce byte-identical files.
 
-Exit status: 0 success, 2 validation failure, 1 any other error.
+Exit status: 0 success, 2 validation failure, 1 any other error.  Every
+error is one JSON line on stderr; an unexpected exception is E_INTERNAL.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def _cmd_inverse_center(args):
     if args.enumerate:
         _write_sibling(
             args.out, ".constraints",
-            _dump(ic.enumerate_constraints(spectra, lengths, plan)),
+            _dump(ic.enumerate_constraints(spectra, lengths, plan, rec)),
         )
     return 0
 
@@ -243,7 +244,6 @@ def _roundtrip_graph(graph):
             fwd.edge_cauer_polys(e, fwd.Flavor.DIRICHLET_END).even.monic()
             for e in graph.edges
         ]
-        phi_n, _ = fwd.char_polys_center(graph)
         lengths = [e.total_length for e in graph.edges]
         psi = quotient.inverse()
         rebuilt = ic.reconstruct_center_grouped(psi, factors, lengths)
@@ -390,6 +390,11 @@ def main(argv=None):
         return 2
     except StarStringError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": exc.message}) + "\n")
+        return 1
+    except Exception as exc:  # a defect, not a user error: still one line, no traceback
+        sys.stderr.write(json.dumps({
+            "error": "E_INTERNAL", "message": f"{type(exc).__name__}: {exc}",
+        }) + "\n")
         return 1
 
 

@@ -122,12 +122,40 @@ def validate_center(spectra, q):
     return ValidationReport(not issues, tuple(issues), m_positive)
 
 
+def _sum_reciprocal(lengths):
+    return sum((Fraction(1) / Fraction(l) for l in lengths), Fraction(0))
+
+
+def _common_values(spectra):
+    """The multiset intersection ((value, mult), ...) of the two spectra."""
+    mu = dict(spectra.neumann_sq)
+    out = []
+    for v, m in spectra.dirichlet_sq:
+        if v in mu:
+            out.append((v, min(m, mu[v])))
+    return tuple(out)
+
+
+def _spectral_quotient(scale, num_sq, den_sq, common):
+    """scale * prod(1 - z/x) over num_sq / the same over den_sq, in canonical
+    form, with the shared values ``common`` cancelled as multisets first."""
+    shared = dict(common)
+
+    def rest(entries):
+        return [v for v, m in entries for _ in range(m - shared.get(v, 0))]
+
+    # what is left of the two multisets is disjoint, so the pair is coprime
+    num = Poly.from_scaled_roots(rest(num_sq)).scale(scale)
+    den = Poly.from_scaled_roots(rest(den_sq))
+    return RationalFunction.from_coprime(num, den)
+
+
 def build_psi(spectra, lengths):
     """The spectral quotient in canonical form; its value at 0 is sum(1/l_j)."""
-    scale = sum((Fraction(1) / Fraction(l) for l in lengths), Fraction(0))
-    num = Poly.from_scaled_roots(spectra.neumann_values()).scale(scale)
-    den = Poly.from_scaled_roots(spectra.dirichlet_values())
-    return RationalFunction(num, den)
+    return _spectral_quotient(
+        _sum_reciprocal(lengths), spectra.neumann_sq, spectra.dirichlet_sq,
+        _common_values(spectra),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +268,22 @@ def _edge_from_summand(proper_j, length):
     return edge
 
 
+def _edge_summands(cplan, residue_of, q):
+    """Each edge's proper summand: its shares of the residues of its poles."""
+    per_edge = [[] for _ in range(q)]
+    for assignment in cplan.assignments:
+        total = residue_of[assignment.value]
+        for edge_idx, share in zip(assignment.edges, assignment.shares):
+            per_edge[edge_idx].append((assignment.value, total * share))
+    summands = []
+    for terms in per_edge:
+        proper = RationalFunction(Poly(), ONE)
+        for value, amount in sorted(terms):
+            proper = proper + RationalFunction(Poly.constant(amount), Poly([-value, 1]))
+        summands.append(proper)
+    return summands
+
+
 def reconstruct_center(spectra, lengths, plan=None, validate=True, allow_single=False):
     """Recover a centre-rooted star graph realizing the given spectra."""
     q = len(lengths)
@@ -255,18 +299,8 @@ def reconstruct_center(spectra, lengths, plan=None, validate=True, allow_single=
     poles = [v for v, _ in spectra.dirichlet_sq]
     pf = partial_fractions_at(psi, poles)
     cplan = plan_partition(spectra, q, plan)
-    residue_of = dict(pf.terms)
-    per_edge = [[] for _ in range(q)]
-    for assignment in cplan.assignments:
-        total = residue_of[assignment.value]
-        for edge_idx, share in zip(assignment.edges, assignment.shares):
-            per_edge[edge_idx].append((assignment.value, total * share))
-    edges = []
-    for j, terms in enumerate(per_edge):
-        proper_j = RationalFunction(Poly(), ONE)
-        for value, amount in sorted(terms):
-            proper_j = proper_j + RationalFunction(Poly.constant(amount), Poly([-value, 1]))
-        edges.append(_edge_from_summand(proper_j, lengths[j]))
+    summands = _edge_summands(cplan, dict(pf.terms), q)
+    edges = [_edge_from_summand(p, l) for p, l in zip(summands, lengths)]
     graph = StarGraph(Root.CENTER, pf.linear_coeff, tuple(edges)) if q >= 2 else None
     return CenterReconstruction(graph, pf.linear_coeff, tuple(edges), cplan, psi, pf.terms)
 
@@ -282,8 +316,7 @@ def reconstruct_center_grouped(psi, factors, lengths):
     q = len(lengths)
     if len(factors) != q:
         raise PlanInfeasible("need one denominator factor per edge")
-    total_inv = sum((Fraction(1) / Fraction(l) for l in lengths), Fraction(0))
-    if psi.eval(Fraction(0)) != total_inv:
+    if psi.eval(Fraction(0)) != _sum_reciprocal(lengths):
         raise InvariantViolation("quotient value at 0 does not match the given lengths")
     a0, _, proper = _polynomial_part(psi)
     parts = split_proper_by_factors(proper, [f.monic() for f in factors])
@@ -293,14 +326,22 @@ def reconstruct_center_grouped(psi, factors, lengths):
     return StarGraph(Root.CENTER, a0, tuple(edges))
 
 
-def enumerate_constraints(spectra, lengths, plan=None):
+def enumerate_constraints(spectra, lengths, plan=None, rec=None):
     """Describe the solution family: per-pole residue simplices and the
-    combinatorial count of feasible occurrence partitions."""
+    combinatorial count of feasible occurrence partitions.
+
+    ``rec``, a CenterReconstruction of the same data and plan, supplies the
+    residues, central mass and plan, which are otherwise computed here.
+    """
     q = len(lengths)
-    psi = build_psi(spectra, lengths)
-    pf = partial_fractions_at(psi, [v for v, _ in spectra.dirichlet_sq])
-    cplan = plan_partition(spectra, q, plan)
-    residue_of = dict(pf.terms)
+    if rec is None:
+        poles = [v for v, _ in spectra.dirichlet_sq]
+        pf = partial_fractions_at(build_psi(spectra, lengths), poles)
+        central_mass, residues = pf.linear_coeff, pf.terms
+        cplan = plan_partition(spectra, q, plan)
+    else:
+        central_mass, residues, cplan = rec.central_mass, rec.residues, rec.plan_used
+    residue_of = dict(residues)
     partition_count = 1
     poles = []
     for value, mult in spectra.dirichlet_sq:
@@ -313,7 +354,7 @@ def enumerate_constraints(spectra, lengths, plan=None):
             "constraint": "shares positive, summing to the total residue",
         })
     return {
-        "central_mass": format_rational(pf.linear_coeff),
+        "central_mass": format_rational(central_mass),
         "poles": poles,
         "feasible_partitions": partition_count,
         "partition_used": [list(a.edges) for a in cplan.assignments],

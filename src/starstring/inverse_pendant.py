@@ -20,7 +20,11 @@ from .inverse_center import (
     ConcretePlan,
     Issue,
     ValidationReport,
+    _common_values,
     _edge_from_summand,
+    _edge_summands,
+    _spectral_quotient,
+    _sum_reciprocal,
     plan_partition_distinct,
     validate_center,
 )
@@ -31,14 +35,9 @@ from .ratfun import (
     StieltjesCF,
     cf_expand,
     cf_to_ratfun,
-    ratfun_normalize,
     _polynomial_part,
 )
 from .roots import isolate_real_roots
-
-
-def _sum_reciprocal(lengths):
-    return sum((Fraction(1) / Fraction(l) for l in lengths), Fraction(0))
 
 
 def build_phi(spectra, main_length, lengths):
@@ -49,9 +48,9 @@ def build_phi(spectra, main_length, lengths):
     values, squared).
     """
     gamma = Fraction(main_length) + 1 / _sum_reciprocal(lengths)
-    num = Poly.from_scaled_roots(spectra.dirichlet_values()).scale(gamma)
-    den = Poly.from_scaled_roots(spectra.neumann_values())
-    phi, cancelled = ratfun_normalize(num, den)
+    common = _common_values(spectra)
+    phi = _spectral_quotient(gamma, spectra.dirichlet_sq, spectra.neumann_sq, common)
+    cancelled = Poly.from_linear_roots(v for v, m in common for _ in range(m))
     return phi, gamma, cancelled
 
 
@@ -68,15 +67,6 @@ class MainEdgeDecomposition:
     @property
     def central_mass_is_zero(self):
         return self.tail_constant > 0
-
-
-def _common_values(spectra):
-    mu = dict(spectra.neumann_sq)
-    out = []
-    for v, m in spectra.dirichlet_sq:
-        if v in mu:
-            out.append((v, min(m, mu[v])))
-    return tuple(out)
 
 
 def decompose_main_from_quotient(phi, main_length, gamma=None, common_zeros=()):
@@ -237,15 +227,7 @@ def _subgraph_edges(psi_sub, lengths, common_zeros, plan):
     dden = den.derivative()
     residue_of = {v: proper.num.eval(v) / dden.eval(v) for v in rational_poles}
     cplan = plan_partition_distinct(occurrences, q, plan)
-    load = [0] * q
-    per_edge = [[] for _ in range(q)]
-    for assignment in cplan.assignments:
-        total = residue_of[assignment.value]
-        for edge_idx, share in zip(assignment.edges, assignment.shares):
-            per_edge[edge_idx].append((assignment.value, total * share))
-            load[edge_idx] += 1
-    cluster_part = None
-    target = None
+    summands = _edge_summands(cplan, residue_of, q)
     if leftover.degree > 0:
         cluster_part = proper
         for v in rational_poles:
@@ -254,16 +236,11 @@ def _subgraph_edges(psi_sub, lengths, common_zeros, plan):
             )
         if cluster_part.den != leftover:
             raise InvariantViolation("pole cluster extraction mismatch")
+        # the least-loaded edge takes the cluster whole
+        load = [sum(j in a.edges for a in cplan.assignments) for j in range(q)]
         target = min(range(q), key=lambda j: (load[j], j))
-        load[target] += leftover.degree
-    edges = []
-    for j in range(q):
-        proper_j = RationalFunction(Poly(), ONE)
-        for value, amount in sorted(per_edge[j]):
-            proper_j = proper_j + RationalFunction(Poly.constant(amount), Poly([-value, 1]))
-        if target is not None and j == target:
-            proper_j = proper_j + cluster_part
-        edges.append(_edge_from_summand(proper_j, lengths[j]))
+        summands[target] = summands[target] + cluster_part
+    edges = [_edge_from_summand(p, l) for p, l in zip(summands, lengths)]
     return a0, edges, cplan
 
 

@@ -312,12 +312,16 @@ def _dump(obj):
 
 
 def _load(data, context):
-    if isinstance(data, bytes):
-        data = data.decode()
     try:
+        if isinstance(data, bytes):
+            data = data.decode()
         return json.loads(data)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{context}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{context}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{context}: JSON nested too deeply") from exc
 
 
 def serialize_graph(graph):

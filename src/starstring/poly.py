@@ -41,18 +41,16 @@ class Poly:
     @staticmethod
     def from_linear_roots(roots):
         """Product of (z - r) over the given rationals."""
-        p = ONE
-        for r in roots:
-            p = p * Poly([-Fraction(r), 1])
-        return p
+        # z - p/q = (q*z - p)/q
+        rs = [Fraction(r) for r in roots]
+        return _linear_product((-r.numerator, r.denominator, r.denominator) for r in rs)
 
     @staticmethod
     def from_scaled_roots(roots):
         """Product of (1 - z/r) over the given nonzero rationals."""
-        p = ONE
-        for r in roots:
-            p = p * Poly([1, -1 / Fraction(r)])
-        return p
+        # 1 - z/(p/q) = (p - q*z)/p
+        rs = [Fraction(r) for r in roots]
+        return _linear_product((r.numerator, -r.denominator, r.numerator) for r in rs)
 
     # -- structure ---------------------------------------------------------
 
@@ -193,6 +191,19 @@ class Poly:
             g = _igcd(g, abs(v))
         ints = [v // g for v in ints]
         return ints, Fraction(g, den)
+
+
+def _linear_product(factors):
+    """Product of (a0 + a1*z)/d over integer triples (a0, a1, d), multiplied
+    in integers with one division per coefficient at the end."""
+    out, den = [1], 1
+    for a0, a1, d in factors:
+        nxt = [0] * (len(out) + 1)
+        for i, c in enumerate(out):
+            nxt[i] += c * a0
+            nxt[i + 1] += c * a1
+        out, den = nxt, den * d
+    return Poly([Fraction(c, den) for c in out])
 
 
 ZERO = Poly()

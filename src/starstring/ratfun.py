@@ -29,6 +29,11 @@ class RationalFunction:
     The denominator is monic and coprime to the numerator; the overall
     constant lives in the numerator, so equality is plain coefficient
     comparison.  The zero function is 0/1.
+
+    ``make`` is the only general canonicalizer.  The arithmetic below keeps
+    canonical operands canonical without asking it: negation and inversion
+    keep a coprime pair coprime, and sums follow Henrici's reduced-fraction
+    rule, which needs at most gcd(b, d) and gcd(t, gcd(b, d)).
     """
 
     __slots__ = ("num", "den")
@@ -46,24 +51,31 @@ class RationalFunction:
         """Canonicalize num/den; returns (function, cancelled monic factor)."""
         if den.is_zero:
             raise DivisionByZero("zero denominator")
+        g = ONE
+        if num.degree > 0 and den.degree > 0:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num.divexact(g)
+                den = den.divexact(g)
+        return RationalFunction.from_coprime(num, den), g
+
+    @staticmethod
+    def from_coprime(num, den):
+        """num/den for coprime num and nonzero den: only the leading
+        coefficient of den is normalized, no gcd is taken."""
         if num.is_zero:
-            rf = object.__new__(RationalFunction)
-            object.__setattr__(rf, "num", ZERO)
-            object.__setattr__(rf, "den", ONE)
-            return rf, ONE
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.divexact(g)
-            den = den.divexact(g)
-        c = den.lc
+            num, den = ZERO, ONE
+        elif den.lc != 1:
+            c = den.lc
+            num, den = num.scale(1 / c), den.scale(1 / c)
         rf = object.__new__(RationalFunction)
-        object.__setattr__(rf, "num", num.scale(1 / c))
-        object.__setattr__(rf, "den", den.scale(1 / c))
-        return rf, g
+        object.__setattr__(rf, "num", num)
+        object.__setattr__(rf, "den", den)
+        return rf
 
     @staticmethod
     def constant(c):
-        return RationalFunction(Poly.constant(c), ONE)
+        return RationalFunction.from_coprime(Poly.constant(c), ONE)
 
     @property
     def is_zero(self):
@@ -82,16 +94,35 @@ class RationalFunction:
     def __repr__(self):
         return f"RationalFunction({self.num!r} / {self.den!r})"
 
+    def _sum(self, c, d):
+        """self + c/d for a canonical c/d (Henrici; Knuth, TAOCP 4.5.1)."""
+        a, b = self.num, self.den
+        # a canonical denominator of degree 0 is 1
+        if b.degree == 0:
+            return RationalFunction.from_coprime(a * d + c, d)
+        if d.degree == 0:
+            return RationalFunction.from_coprime(a + c * b, b)
+        g = poly_gcd(b, d)
+        if g.degree == 0:
+            return RationalFunction.from_coprime(a * d + c * b, b * d)
+        b = b.divexact(g)
+        t = a * d.divexact(g) + c * b
+        # any factor t shares with b*d/g lies in g
+        h = poly_gcd(t, g)
+        if h.degree > 0:
+            t, d = t.divexact(h), d.divexact(h)
+        return RationalFunction.from_coprime(t, b * d)
+
     def __add__(self, other):
         other = _as_rf(other)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+        return self._sum(other.num, other.den)
 
     def __sub__(self, other):
         other = _as_rf(other)
-        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._sum(-other.num, other.den)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction.from_coprime(-self.num, self.den)
 
     def __mul__(self, other):
         other = _as_rf(other)
@@ -106,7 +137,7 @@ class RationalFunction:
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("inverse of the zero function")
-        return RationalFunction(self.den, self.num)
+        return RationalFunction.from_coprime(self.den, self.num)
 
     def eval(self, x):
         d = self.den.eval(x)
@@ -131,7 +162,7 @@ def _as_rf(x):
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, Poly):
-        return RationalFunction(x, ONE)
+        return RationalFunction.from_coprime(x, ONE)
     return RationalFunction.constant(Fraction(x))
 
 
@@ -366,7 +397,8 @@ def _polynomial_part(f):
     const = q.coeffs[0] if q.degree >= 0 else Fraction(0)
     if a0 < 0:
         raise BadShape(f"linear part {-a0}*z grows upward, not a Nevanlinna shape")
-    proper = RationalFunction(r, f.den)
+    # gcd(r, den) = gcd(num, den) = 1
+    proper = RationalFunction.from_coprime(r, f.den)
     return a0, const, proper
 
 

@@ -329,12 +329,6 @@ class RootVal:
             if depth > self._depth:
                 self._descend(depth)
 
-    def approx(self):
-        if self.rat is not None:
-            return float(self.rat)
-        self.refine_to_width(Fraction(1, 1 << 40))
-        return float((self.lo + self.hi) / 2)
-
     def _compare_rational(self, r):
         if self.rat is not None:
             return _cmp(self.rat, r)

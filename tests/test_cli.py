@@ -248,3 +248,28 @@ def test_forward_refine_width_is_a_parsed_rational(tmp_path, capsys, width):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "E_SCHEMA"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100000], ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("command", ["forward", "matrix"])
+def test_unreadable_graph_is_a_schema_error(tmp_path, capsys, data, command):
+    graph = tmp_path / "g.json"
+    graph.write_bytes(data)
+    assert main([command, "--graph", str(graph), "--out", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "E_SCHEMA"
+
+
+def test_unexpected_exception_is_e_internal(tmp_path, capsys, monkeypatch):
+    import starstring.cli as cli
+
+    def boom(args):
+        raise ZeroDivisionError("a defect")
+
+    monkeypatch.setattr(cli, "_cmd_forward", boom)
+    graph = write(tmp_path / "g.json", EX_GRAPH)
+    assert main(["forward", "--graph", graph]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0]) == {"error": "E_INTERNAL", "message": "ZeroDivisionError: a defect"}

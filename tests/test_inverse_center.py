@@ -213,3 +213,11 @@ class TestEnumerate:
         assert pole["total_residue"] == "3"
         assert pole["free_parameters"] == 1
         assert out["feasible_partitions"] == 1
+
+    def test_reconstruction_reused(self, rng):
+        for _ in range(10):
+            spectra, lengths, _, _ = random_center_spectral_data(rng)
+            rec = reconstruct_center(spectra, lengths)
+            assert enumerate_constraints(spectra, lengths, None, rec) == enumerate_constraints(
+                spectra, lengths
+            )

@@ -125,3 +125,15 @@ def test_gcd_divides_and_scales(data):
     assert divmod(q, d)[1].is_zero
     if poly_gcd(p, q) == ONE:
         assert poly_gcd(p * g, q * g) == g.monic()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool), max_size=8))
+def test_root_products_match_factor_by_factor(roots):
+    linear, scaled = ONE, ONE
+    for r in roots:
+        linear = linear * Poly([-r, 1])
+        scaled = scaled * Poly([1, -1 / r])
+    assert Poly.from_linear_roots(roots) == linear
+    assert Poly.from_scaled_roots(roots) == scaled
+    assert Poly.from_scaled_roots(roots).eval(0) == 1

@@ -3,8 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starstring.errors import BadShape, IrrationalPole, NotStieltjes, RangeError
+from starstring.inverse_center import build_psi
+from starstring.inverse_pendant import build_phi
+from starstring.model import SpectrumPair
 from starstring.poly import ONE, Poly
 from starstring.ratfun import (
     RationalFunction,
@@ -258,3 +262,126 @@ class TestGroupedSplit:
         parts = split_proper_by_factors(RationalFunction(f.num, f.den), [d1, d2])
         assert parts[0] == RationalFunction(P(1, 1), d1)
         assert parts[1] == RationalFunction(P(5), d2)
+
+
+# ---------------------------------------------------------------------------
+# canonical arithmetic against the general canonicalizer
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+def linear_product(draw, max_factors=2):
+    """Monic product of up to ``max_factors`` rational linear factors."""
+    return Poly.from_linear_roots(draw(st.lists(small, max_size=max_factors)))
+
+
+@st.composite
+def canonical_pairs(draw):
+    """Canonical f and g whose denominators share a random factor; g may be
+    chosen so that f + g is a polynomial or f - g is zero."""
+    shared = linear_product(draw)
+    f = RationalFunction(Poly(draw(st.lists(small, max_size=4))), shared * linear_product(draw))
+    mode = draw(st.sampled_from(["shared", "sum_is_poly", "equal"]))
+    if mode == "shared":
+        g = RationalFunction(Poly(draw(st.lists(small, max_size=4))), shared * linear_product(draw))
+    elif mode == "sum_is_poly":
+        p = Poly(draw(st.lists(small, max_size=3)))
+        g = RationalFunction(p * f.den - f.num, f.den)
+    else:
+        g = f
+    return f, g, mode
+
+
+def reduced(num, den):
+    return RationalFunction.make(num, den)[0]
+
+
+class TestCanonicalArithmetic:
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_pairs())
+    def test_matches_make_on_unreduced_pair(self, pair):
+        f, g, mode = pair
+        assert f + g == reduced(f.num * g.den + g.num * f.den, f.den * g.den)
+        assert f - g == reduced(f.num * g.den - g.num * f.den, f.den * g.den)
+        assert -f == reduced(-f.num, f.den)
+        if not f.is_zero:
+            assert f.inverse() == reduced(f.den, f.num)
+        if mode == "sum_is_poly":
+            assert (f + g).den == ONE
+        if mode == "equal":
+            assert (f - g).is_zero and (f - g).den == ONE
+
+    @settings(max_examples=60, deadline=None)
+    @given(canonical_pairs(), small)
+    def test_constant_and_polynomial_operands(self, pair, c):
+        f, _, _ = pair
+        p = Poly([c, 1])
+        assert f + c == reduced(f.num + f.den.scale(c), f.den)
+        assert f - p == reduced(f.num - p * f.den, f.den)
+
+
+def spectral_quotient_by_gcd(scale, num_values, den_values):
+    """The quotient built whole and reduced by make, as before cancellation."""
+    num = Poly.from_scaled_roots(num_values).scale(scale)
+    return RationalFunction.make(num, Poly.from_scaled_roots(den_values))
+
+
+multiset = st.lists(
+    st.tuples(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(7, 3), F(5)]), st.integers(1, 3)),
+    max_size=4,
+)
+lengths_st = st.lists(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=5), min_size=1, max_size=4)
+
+
+@st.composite
+def tied_spectra(draw):
+    shared = draw(multiset.filter(bool))
+    return SpectrumPair(tuple(draw(multiset)) + tuple(shared), tuple(draw(multiset)) + tuple(shared))
+
+
+class TestTiedQuotients:
+    @settings(max_examples=80, deadline=None)
+    @given(tied_spectra(), lengths_st)
+    def test_build_psi_matches_gcd_path(self, spectra, lengths):
+        scale = sum(1 / l for l in lengths)
+        psi, _ = spectral_quotient_by_gcd(scale, spectra.neumann_values(), spectra.dirichlet_values())
+        assert build_psi(spectra, lengths) == psi
+
+    @settings(max_examples=80, deadline=None)
+    @given(tied_spectra(), st.fractions(min_value=F(1, 4), max_value=4, max_denominator=5), lengths_st)
+    def test_build_phi_matches_gcd_path(self, spectra, main_length, lengths):
+        phi, gamma, cancelled = build_phi(spectra, main_length, lengths)
+        assert gamma == main_length + 1 / sum(1 / l for l in lengths)
+        assert (phi, cancelled) == spectral_quotient_by_gcd(
+            gamma, spectra.dirichlet_values(), spectra.neumann_values()
+        )
+        assert cancelled.degree > 0
+
+
+def test_canonical_arithmetic_takes_no_gcd(monkeypatch):
+    """Inversion, negation, constant sums and the spectral quotients are
+    canonical by construction; a gcd there is wasted work."""
+    import starstring.ratfun as ratfun_module
+
+    real_gcd = ratfun_module.poly_gcd
+    calls = []
+
+    def counting_gcd(p, q):
+        calls.append((p, q))
+        return real_gcd(p, q)
+
+    monkeypatch.setattr(ratfun_module, "poly_gcd", counting_gcd)
+    tied = SpectrumPair(((F(1), 1), (F(2), 1)), ((F(2), 2),))
+    f = EXAMPLE_F
+    f.inverse()
+    -f
+    f + 3
+    f - F(1, 2)
+    f + P(1, 1)
+    cf_to_ratfun(EXAMPLE_CF)
+    build_psi(tied, [F(2), F(1)])
+    build_phi(tied, F(1), [F(2)])
+    assert calls == []
+    # denominators sharing z - 1/2: Henrici's rule does need gcd(b, d)
+    f + RationalFunction(P(1), P(F(-1, 2), 1))
+    assert calls
