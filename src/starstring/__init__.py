@@ -14,7 +14,6 @@ from .errors import (
     RequiresPositiveCentralMass,
     SchemaError,
     StarStringError,
-    Unresolved,
 )
 from .forward import (
     CauerPair,

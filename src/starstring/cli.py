@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .model import (
     parse_spectra,
     serialize_graph,
 )
+from .poly import Poly
 from .rational import format_rational, parse_rational
 
 DEFAULT_REFINE_WIDTH = Fraction(1, 1 << 64)
@@ -267,24 +269,15 @@ def _roundtrip_spectra(args, spectra, lengths):
         main_length = parse_rational(args.main_length, "--main-length")
         rec = ip.reconstruct_pendant(spectra, main_length, lengths)
         phi_d, phi_n = fwd.char_polys_pendant(rec.graph)
-        got_n, got_d = fwd.spectrum_of(phi_n), fwd.spectrum_of(phi_d)
     else:
         rec = ic.reconstruct_center(spectra, lengths)
         phi_n, phi_d = fwd.char_polys_center(rec.graph)
-        got_n, got_d = fwd.spectrum_of(phi_n), fwd.spectrum_of(phi_d)
-    ok = _roots_match(got_n, spectra.neumann_sq) and _roots_match(got_d, spectra.dirichlet_sq)
+    ok = all(
+        phi.monic() == Poly.from_linear_roots([v for v, m in values for _ in range(m)])
+        for phi, values in ((phi_n, spectra.neumann_sq), (phi_d, spectra.dirichlet_sq))
+    )
     return {"mode": f"spectra-{args.root}", "pass": ok,
             "detail": "reconstructed graph's spectra compared to the input multisets"}
-
-
-def _roots_match(roots, expected):
-    flat = [(rv, m) for rv, m in roots]
-    if len(flat) != len(expected):
-        return False
-    for (rv, m), (value, mult) in zip(flat, expected):
-        if m != mult or not rv.is_rational or rv.rat != value:
-            return False
-    return True
 
 
 def _cmd_verify_roundtrip(args):
@@ -313,6 +306,7 @@ def _cmd_matrix(args):
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="starstring",
@@ -335,7 +329,6 @@ def _build_parser():
     p.add_argument("--refine-width", default=DEFAULT_REFINE_WIDTH,
                    help="interval refinement width for irrational roots, > 0")
     common_output(p)
-    p.set_defaults(func=_cmd_forward)
 
     p = sub.add_parser("inverse-center", help="spectra + lengths -> centre-rooted graph")
     p.add_argument("--spectra", required=True)
@@ -344,7 +337,6 @@ def _build_parser():
     p.add_argument("--enumerate", action="store_true",
                    help="export the non-uniqueness constraint set")
     common_output(p)
-    p.set_defaults(func=_cmd_inverse_center)
 
     p = sub.add_parser("inverse-pendant", help="spectra + lengths -> pendant-rooted graph")
     p.add_argument("--spectra", required=True)
@@ -353,7 +345,6 @@ def _build_parser():
     p.add_argument("--plan", help="reconstruction plan JSON (subgraph stage)")
     p.add_argument("--enumerate", action="store_true")
     common_output(p)
-    p.set_defaults(func=_cmd_inverse_pendant)
 
     p = sub.add_parser("validate", help="check spectral data against the solvability conditions")
     p.add_argument("--spectra", required=True)
@@ -361,7 +352,6 @@ def _build_parser():
     p.add_argument("--lengths", required=True)
     p.add_argument("--main-length")
     common_output(p)
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("verify-roundtrip", help="inverse(forward) or forward(inverse) identity")
     p.add_argument("--graph")
@@ -370,21 +360,20 @@ def _build_parser():
     p.add_argument("--root", choices=("center", "pendant"), default="center")
     p.add_argument("--main-length")
     common_output(p)
-    p.set_defaults(func=_cmd_verify_roundtrip)
 
     p = sub.add_parser("matrix", help="stiffness/mass pencil and interlacing certificate")
     p.add_argument("--graph", required=True)
     common_output(p)
-    p.set_defaults(func=_cmd_matrix)
 
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up on every call, so the subcommand is always this module's current one
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (InvariantViolation, PlanInfeasible) as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": exc.message}) + "\n")
         return 2

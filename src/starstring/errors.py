@@ -59,11 +59,5 @@ class NotIsolating(StarStringError):
     code = "E_NOT_ISOLATING"
 
 
-class Unresolved(StarStringError):
-    """Interval comparison did not separate within the refinement budget."""
-
-    code = "E_UNRESOLVED"
-
-
 class RequiresPositiveCentralMass(StarStringError):
     code = "E_REQUIRES_POSITIVE_M"

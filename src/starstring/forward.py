@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InvariantViolation, Unresolved
+from .errors import InvariantViolation
 from .model import Root
-from .poly import ONE, Poly, poly_gcd
-from .ratfun import RationalFunction, ratfun_normalize
+from .poly import ONE, Poly, poly_gcd, squarefree_factor
+from .ratfun import RationalFunction, _cauer_sequence, ratfun_normalize
 from .roots import isolate_real_roots
 
 
@@ -37,22 +37,6 @@ class CauerPair:
 
     even: Poly
     odd: Poly
-
-
-def _cauer_sequence(seed_inverse, steps):
-    """All ladder pairs (R_{2k}, R_{2k-1}) for k = 0..n.
-
-    ``seed_inverse`` is 1/l of the seed interval, or None for a free seed
-    end.  ``steps`` yields (mass, length) pairs walking away from the seed.
-    """
-    odd = Poly.constant(seed_inverse) if seed_inverse is not None else Poly()
-    even = ONE
-    out = [(even, odd)]
-    for mass, length in steps:
-        odd = Poly([0, -mass]) * even + odd
-        even = odd.scale(length) + even
-        out.append((even, odd))
-    return out
 
 
 def edge_cauer_polys(edge, flavor=Flavor.DIRICHLET_END):
@@ -82,7 +66,8 @@ def main_cauer_polys(edge, flavor=Flavor.DIRICHLET_END):
 def edge_quotient(edge):
     """Driving-point function even/odd of a star edge at the centre."""
     pair = edge_cauer_polys(edge, Flavor.DIRICHLET_END)
-    return RationalFunction(pair.even, pair.odd)
+    # the ladder steps have determinant 1 and the seed pair (1, 1/l) is coprime
+    return RationalFunction.from_coprime(pair.even, pair.odd)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +249,6 @@ def common_zero_accounting(graph):
     records = []
     if g.degree == 0:
         return records
-    from .poly import squarefree_factor
-
     for h, _ in squarefree_factor(g):
         k0 = multiplicity_of_factor(phi_d, h)
         k_inf = multiplicity_of_factor(phi_n, h)
@@ -287,19 +270,19 @@ def common_zero_accounting(graph):
 
 @dataclass(frozen=True)
 class MonotonicityReport:
+    """``unresolved`` is always 0: every comparison is exact and decided."""
+
     ok: bool
     comparisons: int
     unresolved: int
     failures: tuple
 
 
-def neumann_monotonicity(graph, mass_values, width_budget=Fraction(1, 1 << 64)):
+def neumann_monotonicity(graph, mass_values):
     """Check the Neumann spectrum is non-increasing in the central mass.
 
     Comparison is exact: equal roots are recognised through gcds, distinct
-    ones separated by interval refinement.  ``width_budget`` bounds the
-    refinement before a comparison would be declared unresolved; with exact
-    equality handling this is a safety valve, not an expected path.
+    ones separated by interval refinement.
     """
     masses = sorted(Fraction(m) for m in mass_values)
     spectra = []
@@ -308,20 +291,12 @@ def neumann_monotonicity(graph, mass_values, width_budget=Fraction(1, 1 << 64)):
         roots = spectrum_of(phi_n, classify_rational=False)
         spectra.append([rv for rv, mult in roots for _ in range(mult)])
     comparisons = 0
-    unresolved = 0
     failures = []
     for i in range(len(masses) - 1):
         lighter, heavier = spectra[i], spectra[i + 1]
         # eigenvalues beyond the lighter list count as +infinity
-        for k in range(len(heavier)):
-            if k >= len(lighter):
-                continue
+        for k in range(min(len(heavier), len(lighter))):
             comparisons += 1
-            try:
-                c = heavier[k].compare(lighter[k])
-            except Unresolved:
-                unresolved += 1
-                continue
-            if c > 0:
+            if heavier[k].compare(lighter[k]) > 0:
                 failures.append((masses[i], masses[i + 1], k))
-    return MonotonicityReport(not failures, comparisons, unresolved, tuple(failures))
+    return MonotonicityReport(not failures, comparisons, 0, tuple(failures))

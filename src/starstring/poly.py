@@ -1,8 +1,13 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials with exact rational coefficients.
 
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty tuple.  All arithmetic is exact.  Degrees stay at desk scale
 (<= ~60), so the dense representation is the simple and sufficient choice.
+
+Gcds run in integers: both operands are cleared of denominators and
+content (``Poly.primitive_int``) and reduced by the primitive
+pseudo-remainder sequence ``_int_poly_gcd`` (Collins 1967, Brown 1971).
+The integer-list helpers here are also the kernel of ``roots``.
 """
 
 from __future__ import annotations
@@ -185,12 +190,9 @@ class Poly:
         if self.is_zero:
             return [], Fraction(0)
         den = _ilcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = _igcd(g, abs(v))
-        ints = [v // g for v in ints]
-        return ints, Fraction(g, den)
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        prim = _int_primitive(ints)
+        return prim, Fraction(ints[-1] // prim[-1], den)
 
 
 def _linear_product(factors):
@@ -211,14 +213,66 @@ ONE = Poly([1])
 Z = Poly([0, 1])
 
 
+# ---------------------------------------------------------------------------
+# integer polynomials: coefficient lists, lowest degree first
+
+
+def _int_primitive(coeffs):
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        return []
+    g = 0
+    for c in cs:
+        g = _igcd(g, abs(c))
+    return [c // g for c in cs]
+
+
+def _prem_signed(a, b):
+    """Pseudo-remainder r with lc(b)**d * a = q*b + r, and the sign of lc(b)**d."""
+    da, db = len(a) - 1, len(b) - 1
+    delta = da - db + 1
+    lcb = b[-1]
+    r = list(a)
+    steps = 0
+    while True:
+        while r and r[-1] == 0:
+            r.pop()
+        dr = len(r) - 1
+        if not r or dr < db:
+            break
+        head = r[-1]
+        e = dr - db
+        r = [lcb * c for c in r]
+        for j, cb in enumerate(b):
+            r[e + j] -= head * cb
+        steps += 1
+    if delta > steps:
+        f = lcb ** (delta - steps)
+        r = [f * c for c in r]
+    sgn = 1 if (lcb > 0 or delta % 2 == 0) else -1
+    return r, sgn
+
+
+def _int_poly_gcd(a, b):
+    """Primitive gcd of integer polynomials via pseudo-remainders."""
+    a, b = _int_primitive(a), _int_primitive(b)
+    while b:
+        if len(b) == 1:
+            return [1]
+        r, _ = _prem_signed(a, b)
+        a, b = b, _int_primitive(r)
+    if a and a[-1] < 0:
+        a = [-c for c in a]
+    return a
+
+
 def poly_gcd(p, q):
     """Monic greatest common divisor; gcd(p, 0) = monic(p)."""
     if p.is_zero and q.is_zero:
         raise DivisionByZero("gcd(0, 0) undefined")
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, divmod(a, b)[1]
-    return a.monic()
+    return Poly(_int_poly_gcd(p.primitive_int()[0], q.primitive_int()[0])).monic()
 
 
 def poly_extended_gcd(p, q):

@@ -262,15 +262,35 @@ def cf_expand(f):
     return StieltjesCF(tuple(a), tuple(b))
 
 
+def _cauer_sequence(seed_inverse, steps):
+    """All ladder pairs (R_{2k}, R_{2k-1}) for k = 0..n of the recurrence
+
+        R_{2k-1} = -z * m_k * R_{2k-2} + R_{2k-3}
+        R_{2k}   =      l_k * R_{2k-1} + R_{2k-2}
+
+    seeded with R_0 = 1 and R_{-1} = ``seed_inverse``, or 0 for None.
+    ``steps`` yields the (m_k, l_k) pairs.  Each step has determinant 1,
+    so every pair is as coprime as the seed pair.
+    """
+    odd = Poly.constant(seed_inverse) if seed_inverse is not None else Poly()
+    even = ONE
+    out = [(even, odd)]
+    for mass, length in steps:
+        odd = Poly([0, -mass]) * even + odd
+        even = odd.scale(length) + even
+        out.append((even, odd))
+    return out
+
+
 def cf_to_ratfun(cf):
-    """Fold a Stieltjes continued fraction back into a rational function."""
-    p = cf.depth
-    f = RationalFunction.constant(cf.a[p])
-    for k in range(p - 1, -1, -1):
-        # innermost first: f_k = a_k + 1 / (-b_{k+1} z + 1/f_{k+1})
-        lin = RationalFunction(Poly([0, -cf.b[k]]), ONE)
-        f = _as_rf(cf.a[k]) + (lin + f.inverse()).inverse()
-    return f
+    """Fold a Stieltjes continued fraction back into a rational function.
+
+    even/odd of the ladder seeded with 1/a_p is a_p; the step (b_k, a_{k-1})
+    turns f_k into a_{k-1} + 1/(-b_k z + 1/f_k), so k = p..1 ends at f_0.
+    """
+    steps = zip(reversed(cf.b), reversed(cf.a[:-1]))
+    even, odd = _cauer_sequence(1 / cf.a[-1], steps)[-1]
+    return RationalFunction.from_coprime(even, odd)
 
 
 def cf_tail(cf, i):

@@ -1,9 +1,11 @@
 """Exact real-root isolation and comparison.
 
 Roots of rational polynomials are located with Sturm sequences computed on
-the square-free part (integer arithmetic with primitive pseudo-remainders,
-so coefficient growth stays tame).  Each root that is not hit exactly comes
-out as an isolating interval (lo, hi) of a square-free integer polynomial.
+the square-free part, in integer arithmetic with the primitive
+pseudo-remainders of ``poly``'s kernel, so coefficient growth stays tame.
+This module adds only sign evaluation, Sturm chains and bisection.  Each
+root that is not hit exactly comes out as an isolating interval (lo, hi) of
+a square-free integer polynomial.
 
 All refinement runs on one integer bisection kernel, ``_bisect``.  It
 walks dyadic points y = k/2**e of the interval's own coordinate,
@@ -23,29 +25,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd as _igcd
 
 from .errors import DivisionByZero, NotIsolating, RangeError
-from .poly import Poly, squarefree_factor, squarefree_part
+from .poly import (
+    Poly, _int_poly_gcd, _int_primitive, _prem_signed, squarefree_factor, squarefree_part,
+)
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers
-
-
-def _int_primitive(coeffs):
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return []
-    g = 0
-    for c in cs:
-        g = _igcd(g, abs(c))
-    return [c // g for c in cs]
-
-
-def _int_derivative(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
+# sign evaluation and Sturm chains
 
 
 def _sign_at(coeffs, x):
@@ -65,35 +52,9 @@ def _sign_frac(coeffs, p, q):
     return (acc > 0) - (acc < 0)
 
 
-def _prem_signed(a, b):
-    """Pseudo-remainder r with lc(b)**d * a = q*b + r, and the sign of lc(b)**d."""
-    da, db = len(a) - 1, len(b) - 1
-    delta = da - db + 1
-    lcb = b[-1]
-    r = list(a)
-    steps = 0
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        dr = len(r) - 1
-        if not r or dr < db:
-            break
-        head = r[-1]
-        e = dr - db
-        r = [lcb * c for c in r]
-        for j, cb in enumerate(b):
-            r[e + j] -= head * cb
-        steps += 1
-    if delta > steps:
-        f = lcb ** (delta - steps)
-        r = [f * c for c in r]
-    sgn = 1 if (lcb > 0 or delta % 2 == 0) else -1
-    return r, sgn
-
-
 def _sturm_chain(coeffs):
     chain = [_int_primitive(coeffs)]
-    d = _int_primitive(_int_derivative(chain[0]))
+    d = _int_primitive([i * c for i, c in enumerate(chain[0])][1:])
     if d:
         chain.append(d)
     while len(chain[-1]) > 1:
@@ -105,19 +66,6 @@ def _sturm_chain(coeffs):
             r = [-c for c in r]
         chain.append(r)
     return chain
-
-
-def _int_poly_gcd(a, b):
-    """Primitive gcd of integer polynomials via pseudo-remainders."""
-    a, b = _int_primitive(a), _int_primitive(b)
-    while b:
-        if len(b) == 1:
-            return [1]
-        r, _ = _prem_signed(a, b)
-        a, b = b, _int_primitive(r)
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
 
 
 def _variations(signs):

@@ -273,3 +273,45 @@ def test_unexpected_exception_is_e_internal(tmp_path, capsys, monkeypatch):
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1
     assert json.loads(err[0]) == {"error": "E_INTERNAL", "message": "ZeroDivisionError: a defect"}
+
+
+def test_roundtrip_spectra_center_with_tied_value(tmp_path):
+    # 2 is a Neumann and a double Dirichlet eigenvalue: non-strict interlacing
+    spectra = write(tmp_path / "s.json", {
+        "neumann_squared": [{"value": "1", "mult": 1}, {"value": "2", "mult": 1}],
+        "dirichlet_squared": [{"value": "2", "mult": 2}],
+    })
+    out = tmp_path / "verdict.json"
+    code = main(["verify-roundtrip", "--spectra", spectra, "--root", "center",
+                 "--lengths", "2,1", "--out", str(out)])
+    assert code == 0
+    verdict = json.loads(out.read_text())
+    assert verdict["mode"] == "spectra-center" and verdict["pass"] is True
+
+
+def test_commands_in_one_process_repeat_their_bytes(ex_files, tmp_path):
+    # the parser is built once per process; no option may leak between calls
+    graph = write(tmp_path / "g.json", EX_GRAPH)
+    spectra = write(tmp_path / "s.json", {
+        "neumann_squared": [{"value": "1", "mult": 1}, {"value": "2", "mult": 1}],
+        "dirichlet_squared": [{"value": "2", "mult": 2}],
+    })
+    runs = [
+        ("forward", ["forward", "--graph", graph]),
+        ("inverse-center", ["inverse-center", "--spectra", spectra, "--lengths", "2,1"]),
+        ("forward", ["forward", "--graph", graph, "--emit-polys", "--digits", "3"]),
+        ("forward", ["forward", "--graph", graph]),
+        ("inverse-center", ["inverse-center", "--spectra", spectra, "--lengths", "2,1"]),
+    ]
+    first = {}
+    for i, (command, argv) in enumerate(runs):
+        out = tmp_path / f"out{i}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        got = sorted((p.name.replace(f"out{i}", "out"), p.read_bytes())
+                     for p in tmp_path.glob(f"out{i}*"))
+        if "--digits" in argv:
+            assert len(got) == 2  # spectra and polys
+            continue
+        first.setdefault(command, got)
+        assert got == first[command]
+    assert len(first["forward"]) == 1 and len(first["inverse-center"]) == 2

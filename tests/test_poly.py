@@ -1,5 +1,6 @@
 """Polynomial arithmetic, gcd, square-free factorization."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -137,3 +138,52 @@ def test_root_products_match_factor_by_factor(roots):
     assert Poly.from_linear_roots(roots) == linear
     assert Poly.from_scaled_roots(roots) == scaled
     assert Poly.from_scaled_roots(roots).eval(0) == 1
+
+
+def _random_poly(rng, degree, bits):
+    """Fraction coefficients with numerators of up to ``bits`` bits, either
+    sign, and denominators up to 2**32; the leading one is nonzero."""
+    def coeff():
+        return F(rng.choice((-1, 1)) * rng.getrandbits(bits), rng.randint(1, 1 << 32))
+
+    lead = F(0)
+    while lead == 0:
+        lead = coeff()
+    return Poly([coeff() for _ in range(degree)] + [lead])
+
+
+def _to_sympy(sympy, x, p):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs or [0], x, domain="QQ")
+
+
+def _from_sympy(sp):
+    return Poly([F(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())])
+
+
+def test_gcd_and_squarefree_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261018)
+    pairs = [(ZERO, P(3, -1)), (P(F(-7, 2)), ZERO), (P(F(5, 3)), P(1, 2, 3)), (P(-2, 0, -1), P(-4))]
+    for _ in range(40):
+        g = _random_poly(rng, rng.randint(0, 4), rng.randint(64, 256))
+        p = _random_poly(rng, rng.randint(0, 12), rng.randint(64, 256))
+        q = _random_poly(rng, rng.randint(0, 12), rng.randint(64, 256))
+        pairs.append((p * g, q * g))
+    for p, q in pairs:
+        ints, content = p.primitive_int()
+        assert Poly(ints).scale(content) == p and math.gcd(*ints) == (1 if ints else 0)
+        expect = _from_sympy(sympy.gcd(_to_sympy(sympy, x, p), _to_sympy(sympy, x, q)).monic())
+        assert poly_gcd(p, q) == expect
+        assert poly_gcd(q, p) == expect
+        assert poly_gcd(-p, q) == expect
+    for _ in range(12):
+        p = P(rng.choice((-1, 1)) * rng.randint(1, 1 << 64))
+        for mult in range(1, 4):
+            for _ in range(rng.randint(0, 2)):
+                p = p * _random_poly(rng, rng.randint(1, 3), rng.randint(64, 128)) ** mult
+        _, expect = sympy.sqf_list(_to_sympy(sympy, x, p))
+        expect = sorted((m, _from_sympy(f.monic()).coeffs) for f, m in expect)
+        got = sorted((m, f.coeffs) for f, m in squarefree_factor(p))
+        assert got == expect
