@@ -4,7 +4,9 @@ Subcommands: forward, inverse-center, inverse-pendant, validate,
 verify-roundtrip, matrix.  Inputs and outputs are the JSON formats of the
 model module; all values are exact rationals unless a decimal output mode
 is requested (decimal output is explicitly labelled approximate).  Output
-is deterministic: identical inputs produce byte-identical files.
+is deterministic: identical inputs produce byte-identical files.  Each
+file is renamed into place whole; after a run that exits 0 or 2, the
+files named after --out are exactly those the run wrote.
 
 Exit status: 0 success, 2 validation failure, 1 any other error.  Every
 error is one JSON line on stderr; an unexpected exception is E_INTERNAL.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -41,19 +44,49 @@ from .rational import format_rational, parse_rational
 DEFAULT_REFINE_WIDTH = Fraction(1, 1 << 64)
 
 
-def _write(path, data):
-    if path is None:
-        sys.stdout.buffer.write(data)
-    else:
-        Path(path).write_bytes(data)
+# the siblings <stem><suffix><ext> of --out that each subcommand can write
+_SIBLINGS = {
+    "forward": (".polys",),
+    "inverse-center": (".report", ".plan", ".constraints"),
+    "inverse-pendant": (".report", ".plan", ".constraints"),
+    "matrix": (".certificate",),
+}
 
 
-def _write_sibling(out, suffix, data):
-    if out is None:
+def _out_path(out, suffix):
+    base = Path(out)
+    return base.with_name(base.stem + suffix + base.suffix)
+
+
+def _write(args, suffix, data):
+    """Write one output: to stdout without --out, else to the --out file or
+    its ``suffix`` sibling through a dot-prefixed temporary renamed into
+    place, so no reader sees a partial file."""
+    if args.out is None:
         sys.stdout.buffer.write(data)
-    else:
-        base = Path(out)
-        _write(base.with_name(base.stem + suffix + base.suffix), data)
+        return
+    path = _out_path(args.out, suffix)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    args.written.add(suffix)
+
+
+def _remove_stale(args):
+    """Remove the outputs of an earlier run that this run did not rewrite,
+    except any file this run read."""
+    if args.out is None:
+        return
+    names = (getattr(args, k, None) for k in ("graph", "spectra", "plan"))
+    inputs = {Path(name).resolve() for name in names if name}
+    for suffix in ("", *_SIBLINGS.get(args.command, ())):
+        path = _out_path(args.out, suffix)
+        if suffix not in args.written and path.resolve() not in inputs:
+            path.unlink(missing_ok=True)
 
 
 def _read(path, what):
@@ -158,13 +191,13 @@ def _cmd_forward(args):
         raise RangeError(f"--digits must be >= 0, got {args.digits}")
     graph = parse_graph(_read(args.graph, "graph"))
     neumann, dirichlet = fwd.graph_spectra(graph)
-    _write(args.out, _dump(_spectra_json(neumann, dirichlet, args)))
+    _write(args, "", _dump(_spectra_json(neumann, dirichlet, args)))
     if args.emit_polys:
         if graph.root is Root.CENTER:
             phi_n, phi_d = fwd.char_polys_center(graph)
         else:
             phi_d, phi_n = fwd.char_polys_pendant(graph)
-        _write_sibling(args.out, ".polys", _dump({
+        _write(args, ".polys", _dump({
             "phi_neumann": _poly_json(phi_n),
             "phi_dirichlet": _poly_json(phi_d),
         }))
@@ -177,18 +210,15 @@ def _cmd_inverse_center(args):
     plan = parse_plan(_read(args.plan, "plan")) if args.plan else None
     report = ic.validate_center(spectra, len(lengths))
     if not report.valid:
-        _write_sibling(args.out, ".report", _dump(report.to_json()))
+        _write(args, ".report", _dump(report.to_json()))
         return 2
     rec = ic.reconstruct_center(spectra, lengths, plan, validate=False)
-    _write(args.out, serialize_graph(rec.graph))
+    _write(args, "", serialize_graph(rec.graph))
     plan_out = rec.plan_used.to_json()
     plan_out["reusable_plan"] = rec.plan_used.as_plan().to_json()
-    _write_sibling(args.out, ".plan", _dump(plan_out))
+    _write(args, ".plan", _dump(plan_out))
     if args.enumerate:
-        _write_sibling(
-            args.out, ".constraints",
-            _dump(ic.enumerate_constraints(spectra, lengths, plan, rec)),
-        )
+        _write(args, ".constraints", _dump(ic.enumerate_constraints(spectra, lengths, plan, rec)))
     return 0
 
 
@@ -199,10 +229,10 @@ def _cmd_inverse_pendant(args):
     plan = parse_plan(_read(args.plan, "plan")) if args.plan else None
     report = ip.validate_pendant(spectra, main_length, lengths)
     if not report.valid:
-        _write_sibling(args.out, ".report", _dump(report.to_json()))
+        _write(args, ".report", _dump(report.to_json()))
         return 2
     rec = ip.reconstruct_pendant(spectra, main_length, lengths, plan, validate=False)
-    _write(args.out, serialize_graph(rec.graph))
+    _write(args, "", serialize_graph(rec.graph))
     details = {
         "gamma": format_rational(rec.decomposition.gamma),
         "cf": rec.decomposition.cf.to_json(),
@@ -217,11 +247,11 @@ def _cmd_inverse_pendant(args):
     if rec.subgraph_plan is not None:
         details["subgraph_plan"] = rec.subgraph_plan.to_json()
         details["subgraph_plan"]["reusable_plan"] = rec.subgraph_plan.as_plan().to_json()
-    _write_sibling(args.out, ".plan", _dump(details))
+    _write(args, ".plan", _dump(details))
     if args.enumerate:
         sub = ip.validate_subgraph_data(rec.decomposition, lengths)
         details_out = {"subgraph_report": None if sub is None else sub.to_json()}
-        _write_sibling(args.out, ".constraints", _dump(details_out))
+        _write(args, ".constraints", _dump(details_out))
     return 0
 
 
@@ -235,7 +265,7 @@ def _cmd_validate(args):
             raise SchemaError("--main-length is required for pendant validation")
         main_length = parse_rational(args.main_length, "--main-length")
         report = ip.validate_pendant(spectra, main_length, lengths)
-    _write(args.out, _dump(report.to_json()))
+    _write(args, "", _dump(report.to_json()))
     return 0 if report.valid else 2
 
 
@@ -290,16 +320,16 @@ def _cmd_verify_roundtrip(args):
         spectra = parse_spectra(_read(args.spectra, "spectra"))
         lengths = _parse_lengths(args.lengths)
         verdict = _roundtrip_spectra(args, spectra, lengths)
-    _write(args.out, _dump(verdict))
+    _write(args, "", _dump(verdict))
     return 0 if verdict["pass"] else 2
 
 
 def _cmd_matrix(args):
     graph = parse_graph(_read(args.graph, "graph"))
     L, diag = mx.build_pencil(graph)
-    _write(args.out, _dump(mx.pencil_to_json(L, diag)))
+    _write(args, "", _dump(mx.pencil_to_json(L, diag)))
     cert = mx.interlacing_certificate(L, diag)
-    _write_sibling(args.out, ".certificate", _dump(cert.to_json()))
+    _write(args, ".certificate", _dump(cert.to_json()))
     return 0 if cert.ok else 2
 
 
@@ -368,22 +398,28 @@ def _build_parser():
     return parser
 
 
+def _error(code, message):
+    sys.stderr.write(json.dumps({"error": code, "message": message}) + "\n")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    args.written = set()
     # looked up on every call, so the subcommand is always this module's current one
     command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
-    except (InvariantViolation, PlanInfeasible) as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "message": exc.message}) + "\n")
-        return 2
+        try:
+            status = command(args)
+        except (InvariantViolation, PlanInfeasible) as exc:
+            _error(exc.code, exc.message)
+            status = 2
+        _remove_stale(args)
+        return status
     except StarStringError as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "message": exc.message}) + "\n")
+        _error(exc.code, exc.message)
         return 1
     except Exception as exc:  # a defect, not a user error: still one line, no traceback
-        sys.stderr.write(json.dumps({
-            "error": "E_INTERNAL", "message": f"{type(exc).__name__}: {exc}",
-        }) + "\n")
+        _error("E_INTERNAL", f"{type(exc).__name__}: {exc}")
         return 1
 
 

@@ -76,20 +76,12 @@ def edge_quotient(edge):
 
 def _center_char_polys(edges, central_mass):
     """(phi_N, phi_D) of a centre-rooted star with the given central mass."""
-    q = len(edges)
-    pairs = [edge_cauer_polys(e, Flavor.DIRICHLET_END) for e in edges]
-    phi_d = ONE
-    for p in pairs:
-        phi_d = phi_d * p.even
-    share = Fraction(central_mass) / q
-    phi_n = Poly()
-    for j, pj in enumerate(pairs):
-        term = pj.odd - Poly([0, share]) * pj.even
-        for k, pk in enumerate(pairs):
-            if k != j:
-                term = term * pk.even
-        phi_n = phi_n + term
-    return phi_n, phi_d
+    # N/D = sum_j odd_j/even_j, folded edge by edge; phi_N = N - M*z*phi_D
+    num, den = Poly(), ONE
+    for e in edges:
+        pair = edge_cauer_polys(e, Flavor.DIRICHLET_END)
+        num, den = num * pair.even + pair.odd * den, den * pair.even
+    return num - Poly([0, central_mass]) * den, den
 
 
 def char_polys_center(graph, central_mass=None):

@@ -22,7 +22,7 @@ from math import comb
 
 from .errors import InvariantViolation, PlanInfeasible
 from .model import Edge, ReconstructionPlan, Root, StarGraph
-from .poly import ONE, Poly
+from .poly import ONE, Poly, ZERO
 from .rational import format_rational
 from .ratfun import (
     RationalFunction,
@@ -257,31 +257,35 @@ class CenterReconstruction:
     residues: tuple  # ((pole, total residue), ...)
 
 
-def _edge_from_summand(proper_j, length):
-    """Expand the reciprocal per-edge summand into intervals and masses."""
-    b_j = Fraction(1) / Fraction(length) - proper_j.eval(Fraction(0))
-    psi_j = proper_j + RationalFunction.constant(b_j)
-    cf = cf_expand(psi_j.inverse())
+def _edge_from_summand(num, den, length):
+    """Expand the reciprocal of the per-edge summand num/den plus its
+    constant into intervals and masses; num/den is coprime with den monic."""
+    b_j = Fraction(1) / Fraction(length) - num.eval(0) / den.eval(0)
+    cf = cf_expand(RationalFunction.from_coprime(den, num + den.scale(b_j)))
     edge = Edge(cf.a, cf.b)
     if edge.total_length != Fraction(length):
         raise InvariantViolation("reconstructed lengths do not sum")
     return edge
 
 
+def _pole_sum(terms):
+    """(n, d) with n/d = sum r/(z - v) over ``terms`` ((v, r), ...) with
+    distinct v and nonzero r: d is monic, and the pair is coprime."""
+    n, d = ZERO, ONE
+    for v, r in terms:
+        lin = Poly([-v, 1])
+        n, d = n * lin + d.scale(r), d * lin
+    return n, d
+
+
 def _edge_summands(cplan, residue_of, q):
-    """Each edge's proper summand: its shares of the residues of its poles."""
+    """Each edge's proper summand (n, d): its shares of the residues of its poles."""
     per_edge = [[] for _ in range(q)]
     for assignment in cplan.assignments:
         total = residue_of[assignment.value]
         for edge_idx, share in zip(assignment.edges, assignment.shares):
             per_edge[edge_idx].append((assignment.value, total * share))
-    summands = []
-    for terms in per_edge:
-        proper = RationalFunction(Poly(), ONE)
-        for value, amount in sorted(terms):
-            proper = proper + RationalFunction(Poly.constant(amount), Poly([-value, 1]))
-        summands.append(proper)
-    return summands
+    return [_pole_sum(sorted(terms)) for terms in per_edge]
 
 
 def reconstruct_center(spectra, lengths, plan=None, validate=True, allow_single=False):
@@ -300,7 +304,7 @@ def reconstruct_center(spectra, lengths, plan=None, validate=True, allow_single=
     pf = partial_fractions_at(psi, poles)
     cplan = plan_partition(spectra, q, plan)
     summands = _edge_summands(cplan, dict(pf.terms), q)
-    edges = [_edge_from_summand(p, l) for p, l in zip(summands, lengths)]
+    edges = [_edge_from_summand(n, d, l) for (n, d), l in zip(summands, lengths)]
     graph = StarGraph(Root.CENTER, pf.linear_coeff, tuple(edges)) if q >= 2 else None
     return CenterReconstruction(graph, pf.linear_coeff, tuple(edges), cplan, psi, pf.terms)
 
@@ -320,9 +324,7 @@ def reconstruct_center_grouped(psi, factors, lengths):
         raise InvariantViolation("quotient value at 0 does not match the given lengths")
     a0, _, proper = _polynomial_part(psi)
     parts = split_proper_by_factors(proper, [f.monic() for f in factors])
-    edges = []
-    for j in range(q):
-        edges.append(_edge_from_summand(parts[j], lengths[j]))
+    edges = [_edge_from_summand(p.num, p.den, l) for p, l in zip(parts, lengths)]
     return StarGraph(Root.CENTER, a0, tuple(edges))
 
 

@@ -23,6 +23,7 @@ from .inverse_center import (
     _common_values,
     _edge_from_summand,
     _edge_summands,
+    _pole_sum,
     _spectral_quotient,
     _sum_reciprocal,
     plan_partition_distinct,
@@ -63,10 +64,6 @@ class MainEdgeDecomposition:
     cf: StieltjesCF
     gamma: Fraction
     common_zeros: tuple  # ((value, mult), ...) shared by the two spectra
-
-    @property
-    def central_mass_is_zero(self):
-        return self.tail_constant > 0
 
 
 def decompose_main_from_quotient(phi, main_length, gamma=None, common_zeros=()):
@@ -109,7 +106,7 @@ def decompose_main(spectra, main_length, lengths):
     )
 
 
-def validate_pendant(spectra, main_length, lengths, check_tail=True):
+def validate_pendant(spectra, main_length, lengths):
     """Check the pendant-root solvability conditions.
 
     The interlacing chain must open strictly (mu_1 < lambda_1), both
@@ -153,27 +150,22 @@ def validate_pendant(spectra, main_length, lengths, check_tail=True):
                 "multiplicity",
                 f"shared value {v}: multiplicity sum {shared + mult} exceeds {2 * q - 3}",
             ))
-    if not issues and check_tail:
+    if not issues:
         try:
             dec = decompose_main(spectra, main_length, lengths)
         except (NotStieltjes, MainTooLong) as exc:
             issues.append(Issue(exc.code, exc.message))
         else:
             for v, _ in dec.common_zeros:
-                if dec.tail.den.eval(v) == 0 or dec.tail.num.eval(v) != 0:
+                den_v = dec.tail.den.eval(v)
+                if den_v == 0 or dec.tail.num.eval(v) != 0:
+                    value = "pole" if den_v == 0 else dec.tail.num.eval(v) / den_v
                     issues.append(Issue(
                         "tail",
                         f"tail does not vanish at the shared value {v}: "
-                        f"tail({v}) = {_tail_value(dec.tail, v)}",
+                        f"tail({v}) = {value}",
                     ))
     return ValidationReport(not issues, tuple(issues), None)
-
-
-def _tail_value(tail, v):
-    try:
-        return format(tail.eval(v))
-    except Exception:
-        return "pole"
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +196,7 @@ def _subgraph_edges(psi_sub, lengths, common_zeros, plan):
         # impossible here (their multiplicities would have to sum to <= 1)
         if common_zeros:
             raise NotStieltjes("a two-string graph admits no shared eigenvalues")
-        return a0, [_edge_from_summand(proper, lengths[0])], None
+        return a0, [_edge_from_summand(proper.num, den, lengths[0])], None
     rational_poles = []
     leftover = ONE
     if den.degree > 0:
@@ -229,18 +221,18 @@ def _subgraph_edges(psi_sub, lengths, common_zeros, plan):
     cplan = plan_partition_distinct(occurrences, q, plan)
     summands = _edge_summands(cplan, residue_of, q)
     if leftover.degree > 0:
-        cluster_part = proper
-        for v in rational_poles:
-            cluster_part = cluster_part - RationalFunction(
-                Poly.constant(residue_of[v]), Poly([-v, 1])
-            )
-        if cluster_part.den != leftover:
+        # proper - R/L = S/leftover has exactly the cluster's poles, so S is
+        # coprime to leftover, and n*leftover + S*d to d*leftover below
+        rat_num, rat_den = _pole_sum(sorted(residue_of.items()))
+        cluster_num, rem = divmod(proper.num - rat_num * leftover, rat_den)
+        if not rem.is_zero:
             raise InvariantViolation("pole cluster extraction mismatch")
         # the least-loaded edge takes the cluster whole
         load = [sum(j in a.edges for a in cplan.assignments) for j in range(q)]
         target = min(range(q), key=lambda j: (load[j], j))
-        summands[target] = summands[target] + cluster_part
-    edges = [_edge_from_summand(p, l) for p, l in zip(summands, lengths)]
+        n, d = summands[target]
+        summands[target] = (n * leftover + cluster_num * d, d * leftover)
+    edges = [_edge_from_summand(n, d, l) for (n, d), l in zip(summands, lengths)]
     return a0, edges, cplan
 
 

@@ -167,14 +167,6 @@ class SpectrumPair:
         object.__setattr__(self, "neumann_sq", _canonical_multiset(self.neumann_sq, "neumann"))
         object.__setattr__(self, "dirichlet_sq", _canonical_multiset(self.dirichlet_sq, "dirichlet"))
 
-    @property
-    def neumann_count(self):
-        return sum(m for _, m in self.neumann_sq)
-
-    @property
-    def dirichlet_count(self):
-        return sum(m for _, m in self.dirichlet_sq)
-
     def neumann_values(self):
         return [v for v, m in self.neumann_sq for _ in range(m)]
 

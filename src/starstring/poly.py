@@ -174,9 +174,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def monic(self):
         if self.is_zero:
             return self
@@ -210,7 +207,6 @@ def _linear_product(factors):
 
 ZERO = Poly()
 ONE = Poly([1])
-Z = Poly([0, 1])
 
 
 # ---------------------------------------------------------------------------

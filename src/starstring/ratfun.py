@@ -1,15 +1,19 @@
 """Rational functions, Stieltjes continued fractions, partial fractions.
 
 A rational S0-function (positive simple poles and zeros, strictly
-interlacing with the pole first, nonnegative limit at infinity) admits a
-unique alternating continued fraction
+interlacing with the pole first, nonnegative limit at infinity, reached
+from below when it is 0) admits a unique alternating continued fraction
 
     f(z) = a0 + 1/(-b1*z + 1/(a1 + 1/(-b2*z + ... + 1/(-bp*z + 1/ap))))
 
-with a0 >= 0 and all other coefficients strictly positive.  ``cf_expand``
-computes it by exact alternating extraction and doubles as the S0
-certificate: any positivity or degree-pattern failure along the way proves
-the input was not S0.  ``cf_to_ratfun`` folds it back exactly.
+with a0 >= 0 and all other coefficients strictly positive.  For a
+Stieltjes string the a_k are its interval lengths and the b_k its point
+masses, and f is even/odd of the ladder recurrence ``_cauer_sequence``.
+``cf_to_ratfun`` folds the coefficients into that recurrence;
+``cf_expand`` runs it backwards, peeling one ladder step per level off the
+numerator and denominator.  It doubles as the S0 certificate: any
+positivity or degree-pattern failure along the way proves the input was
+not S0.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 from .errors import BadShape, DivisionByZero, InvariantViolation, IrrationalPole, NotStieltjes, RangeError
 from .poly import ONE, Poly, ZERO, poly_extended_gcd, poly_gcd
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 from .roots import isolate_real_roots, sort_rootvals
 
 
@@ -124,16 +128,6 @@ class RationalFunction:
     def __neg__(self):
         return RationalFunction.from_coprime(-self.num, self.den)
 
-    def __mul__(self, other):
-        other = _as_rf(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = _as_rf(other)
-        if other.is_zero:
-            raise DivisionByZero("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("inverse of the zero function")
@@ -144,9 +138,6 @@ class RationalFunction:
         if d == 0:
             raise DivisionByZero(f"pole at {x}")
         return self.num.eval(x) / d
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def value_at_infinity(self):
         """Limit at infinity: 0 if deg num < deg den, lc ratio if equal, else None."""
@@ -204,21 +195,17 @@ class StieltjesCF:
         return {"a": [format_rational(x) for x in self.a],
                 "b": [format_rational(x) for x in self.b]}
 
-    @staticmethod
-    def from_json(obj):
-        return StieltjesCF(
-            tuple(parse_rational(x, "cf.a") for x in obj["a"]),
-            tuple(parse_rational(x, "cf.b") for x in obj["b"]),
-        )
-
 
 def cf_expand(f):
     """Expand a rational S0-function into its Stieltjes continued fraction.
 
-    Alternates between extracting the value at infinity (the next constant)
-    and, after inversion, the exact linear term -b*z by polynomial division.
-    Positivity of every extracted coefficient certifies the S0 property;
-    any violation raises NotStieltjes.
+    Each level peels one step of the ladder recurrence (``_cauer_sequence``)
+    off num/den: the constant a = lc(num)/lc(den), or 0 when deg den is one
+    higher, leaves num - a*den; the slope s = lc(den)/lc(num) of the simple
+    pole at infinity of the reciprocal leaves den - s*z*num, and b = -s.
+    For an edge's driving-point function the a_k are its interval lengths
+    and the b_k its masses.  Positivity of every peeled coefficient
+    certifies the S0 property; any violation raises NotStieltjes.
     """
     if f.is_zero:
         raise NotStieltjes("the zero function is not S0")
@@ -238,27 +225,19 @@ def cf_expand(f):
         if const < 0:
             raise NotStieltjes(f"negative limit at infinity: {const}")
         a.append(const)
-        rem = num - den.scale(const)
-        if rem.is_zero:
+        if const:
+            num = Poly([x - const * y for x, y in zip(num.coeffs, den.coeffs)])
+        if num.is_zero:
             break
-        if rem.degree != den.degree - 1:
+        if num.degree != dd - 1:
             raise NotStieltjes("unexpected cancellation while extracting a constant")
-        # invert, then strip the linear part
-        num, den = den, rem
-        q, r = divmod(num, den)
-        if q.degree != 1:
-            raise NotStieltjes("pole at infinity is not simple")
-        slope = q.coeffs[1]
+        slope = den.lc / num.lc
         if slope >= 0:
             raise NotStieltjes(f"nonpositive mass coefficient b_{len(b) + 1} = {-slope}")
         b.append(-slope)
-        # what is left after -b*z is the reciprocal of the next level
-        num = den.scale(q.coeffs[0]) + r
-        if num.is_zero:
+        den = Poly([y - slope * x for y, x in zip(den.coeffs, (0, *num.coeffs))])
+        if den.is_zero:
             raise NotStieltjes("continued fraction terminated inside a linear level")
-        num, den = den, num
-    if a[0] == 0 and len(a) == 1:
-        raise NotStieltjes("the zero function is not S0")
     return StieltjesCF(tuple(a), tuple(b))
 
 
@@ -342,9 +321,12 @@ def validate_s0(f):
     if a0 is None:
         issues.append("numerator degree exceeds denominator degree")
         return S0Report(False, tuple(issues), None, (), ())
+    num, den = f.num, f.den
     if a0 < 0:
         issues.append(f"negative limit at infinity: {a0}")
-    num, den = f.num, f.den
+    elif a0 == 0 and num.lc / den.lc > 0:
+        # f ~ -1/(b1*z) at infinity with the first mass b1 > 0
+        issues.append(f"zero limit at infinity approached from above: leading ratio {num.lc / den.lc}")
     for name, p in (("zero", num), ("pole", den)):
         if p.degree > 0 and poly_gcd(p, p.derivative()).degree > 0:
             issues.append(f"multiple {name} detected")
@@ -476,32 +458,29 @@ def partial_fractions_at(f, poles):
 def split_proper_by_factors(proper, factors):
     """Split a proper rational function over pairwise coprime denominator factors.
 
-    Given proper = R/(D_1*...*D_k) with monic pairwise coprime D_j, returns
-    the list of proper parts S_j/D_j with proper = sum_j S_j/D_j, exactly
+    Given proper = R/(D_1*...*D_k) with pairwise coprime D_j, returns the
+    list of proper parts S_j/D_j with proper = sum_j S_j/D_j, exactly
     (Chinese remaindering via the extended Euclidean algorithm).
     """
+    factors = [d.monic() for d in factors]
     den = ONE
     for d in factors:
         den = den * d
-    if den.monic() != proper.den:
+    if den != proper.den:
         raise BadShape("factors do not multiply to the denominator")
     parts = []
-    r = proper.num
+    total = ZERO
     for d in factors:
-        if d.degree == 0:
-            parts.append(RationalFunction(ZERO, ONE))
-            continue
-        m = proper.den.divexact(d.monic())
-        g, s, _ = poly_extended_gcd(m, d.monic())
+        m = den.divexact(d)
+        g, s, _ = poly_extended_gcd(m, d)
         if g.degree != 0:
             raise BadShape("denominator factors are not pairwise coprime")
-        # r/(m*d) = (r*s mod d)/d + ...; s is the inverse of m modulo d
-        sj = divmod(r * s, d.monic())[1]
-        parts.append(RationalFunction(sj, d.monic()))
-    total = RationalFunction(ZERO, ONE)
-    for part in parts:
-        total = total + part
-    if total != proper:
+        # R/(m*d) = (R*s mod d)/d + ...; s is the inverse of m modulo d, so
+        # gcd(R*s mod d, d) = gcd(R, d) = 1
+        sj = divmod(proper.num * s, d)[1]
+        parts.append(RationalFunction.from_coprime(sj, d))
+        total = total + sj * m
+    if total != proper.num:
         raise BadShape("grouped partial fraction reassembly mismatch")
     return parts
 

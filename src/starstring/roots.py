@@ -173,7 +173,7 @@ class RootVal:
 
     Either a rational (``rat`` set) or the unique root of a square-free
     integer polynomial inside an isolating interval with a strict sign
-    change at the endpoints.  Comparisons are exact: equality is decided
+    change at the endpoints.  ``compare`` is exact: equality is decided
     through polynomial gcds, order through interval refinement.
 
     ``lo``/``hi`` are the current interval: the isolating interval
@@ -311,21 +311,6 @@ class RootVal:
                 return -1
             if other.hi <= self.lo:
                 return 1
-
-    def __eq__(self, other):
-        return self.compare(other) == 0
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
 
     def __repr__(self):
         if self.rat is not None:

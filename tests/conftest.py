@@ -114,6 +114,30 @@ def occurrences(roots):
 
 
 @pytest.fixture
+def canonical_calls(monkeypatch):
+    """Count calls of poly_gcd, at every binding in the package, and of
+    RationalFunction.make; returns the {name: count} dict."""
+    from starstring import forward, poly, ratfun
+
+    counts = {"poly_gcd": 0, "make": 0}
+    real_gcd = poly.poly_gcd
+    real_make = ratfun.RationalFunction.make
+
+    def gcd(p, q):
+        counts["poly_gcd"] += 1
+        return real_gcd(p, q)
+
+    def make(num, den):
+        counts["make"] += 1
+        return real_make(num, den)
+
+    for module in (forward, poly, ratfun):
+        monkeypatch.setattr(module, "poly_gcd", gcd)
+    monkeypatch.setattr(ratfun.RationalFunction, "make", staticmethod(make))
+    return counts
+
+
+@pytest.fixture
 def rng():
     return random.Random(20260810)
 

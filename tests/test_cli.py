@@ -315,3 +315,45 @@ def test_commands_in_one_process_repeat_their_bytes(ex_files, tmp_path):
         first.setdefault(command, got)
         assert got == first[command]
     assert len(first["forward"]) == 1 and len(first["inverse-center"]) == 2
+
+
+def test_outputs_replace_the_previous_runs_outputs(tmp_path):
+    """After a run that exits 0 or 2, the files named after --out are
+    exactly the ones this run wrote; a run that exits 1 removes nothing."""
+    good = write(tmp_path / "good.json", {
+        "neumann_squared": [{"value": "1", "mult": 1}, {"value": "2", "mult": 1}],
+        "dirichlet_squared": [{"value": "2", "mult": 2}],
+    })
+    bad = write(tmp_path / "bad.json", {
+        "neumann_squared": [{"value": "1", "mult": 1}],
+        "dirichlet_squared": [{"value": "1", "mult": 1}],
+    })
+    out = str(tmp_path / "g.json")
+
+    def run(spectra, *extra):
+        return main(["inverse-center", "--spectra", spectra, "--lengths", "2,1", "--out", out, *extra])
+
+    def outputs():
+        return sorted(p.name for p in tmp_path.iterdir() if p.name not in ("good.json", "bad.json"))
+
+    assert run(bad) == 2
+    assert outputs() == ["g.report.json"]
+    assert run(good, "--enumerate") == 0
+    assert outputs() == ["g.constraints.json", "g.json", "g.plan.json"]
+    assert run(good) == 0
+    assert outputs() == ["g.json", "g.plan.json"]
+    assert run(str(tmp_path / "missing.json")) == 1
+    assert outputs() == ["g.json", "g.plan.json"]
+    assert run(bad) == 2
+    assert outputs() == ["g.report.json"]
+
+
+def test_outputs_never_remove_an_input(tmp_path):
+    # the spectra file has the name of a sibling this run does not write
+    spectra = write(tmp_path / "g.constraints.json", {
+        "neumann_squared": [{"value": "1", "mult": 1}, {"value": "2", "mult": 1}],
+        "dirichlet_squared": [{"value": "2", "mult": 2}],
+    })
+    out = tmp_path / "g.json"
+    assert main(["inverse-center", "--spectra", spectra, "--lengths", "2,1", "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.constraints.json", "g.json", "g.plan.json"]

@@ -221,3 +221,13 @@ class TestEnumerate:
             assert enumerate_constraints(spectra, lengths, None, rec) == enumerate_constraints(
                 spectra, lengths
             )
+
+
+def test_reconstruction_takes_no_gcd(canonical_calls, rng):
+    """Per-edge summands are coprime pairs by construction: rebuilding a
+    graph from tied spectra canonicalises nothing."""
+    reconstruct_center(EX_SPECTRA, EX_LENGTHS)
+    for _ in range(10):
+        spectra, lengths, _, _ = random_center_spectral_data(rng)
+        reconstruct_center(spectra, lengths)
+    assert canonical_calls == {"poly_gcd": 0, "make": 0}

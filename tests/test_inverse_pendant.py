@@ -16,6 +16,7 @@ from starstring.inverse_pendant import (
 from starstring.model import Edge, ReconstructionPlan, SpectrumPair
 from starstring.poly import Poly
 from starstring.ratfun import RationalFunction
+from starstring.roots import isolate_real_roots
 from tests.conftest import random_pendant_graph, random_pendant_spectral_data
 
 EX_SPECTRA = SpectrumPair(
@@ -24,6 +25,12 @@ EX_SPECTRA = SpectrumPair(
 )
 EX_MAIN_LENGTH = F(2)
 EX_LENGTHS = [F(2), F(1)]
+# with main length 1/3 and lengths [3, 1], the subgraph quotient's poles
+# are an irrational, 20 and an irrational
+MIXED_SPECTRA = SpectrumPair(
+    ((F(7, 2), 1), (F(33, 2), 1), (F(30), 1)),
+    ((F(4), 1), (F(19), 1), (F(39), 1)),
+)
 
 
 def P(*coeffs):
@@ -203,6 +210,18 @@ class TestReconstruct:
         assert [(rv.rat, m) for rv, m in spectrum_of(phi_d)] == list(spectra.dirichlet_sq)
         assert [(rv.rat, m) for rv, m in spectrum_of(phi_n)] == list(spectra.neumann_sq)
 
+    def test_mixed_rational_and_irrational_subgraph_poles(self):
+        # 20 follows the plan; the irrational cluster goes whole to the
+        # least-loaded edge
+        spectra = MIXED_SPECTRA
+        rec = reconstruct_pendant(spectra, F(1, 3), [F(3), F(1)])
+        poles = isolate_real_roots(rec.decomposition.tail.num, F(0), None)
+        assert [(rv.rat, m) for rv, m in poles] == [(None, 1), (F(20), 1), (None, 1)]
+        assert [(a.value, a.edges) for a in rec.subgraph_plan.assignments] == [(F(20), (0,))]
+        phi_d, phi_n = char_polys_pendant(rec.graph)
+        assert [(rv.rat, m) for rv, m in spectrum_of(phi_d)] == list(spectra.dirichlet_sq)
+        assert [(rv.rat, m) for rv, m in spectrum_of(phi_n)] == list(spectra.neumann_sq)
+
     def test_central_mass_classification(self):
         # vanishing tail constant <=> positive central mass; the strictly
         # interlacing pair below has the same quotient as the worked example
@@ -219,3 +238,12 @@ class TestReconstruct:
         phi_d, phi_n = char_polys_pendant(rec.graph)
         assert [(rv.rat, m) for rv, m in spectrum_of(phi_d)] == list(spectra.dirichlet_sq)
         assert [(rv.rat, m) for rv, m in spectrum_of(phi_n)] == list(spectra.neumann_sq)
+
+
+def test_reconstruction_does_not_canonicalise(canonical_calls, rng):
+    """Subgraph summands and the pole cluster are coprime pairs by construction."""
+    reconstruct_pendant(EX_SPECTRA, EX_MAIN_LENGTH, EX_LENGTHS)
+    reconstruct_pendant(MIXED_SPECTRA, F(1, 3), [F(3), F(1)])
+    for _ in range(10):
+        reconstruct_pendant(*random_pendant_spectral_data(rng, q_max=4, n_max=4))
+    assert canonical_calls["make"] == 0

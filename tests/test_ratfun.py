@@ -79,6 +79,44 @@ class TestValidateS0:
         assert [p["value"] for p in obj["poles"]] == ["1/2", "3/2"]
         assert [z["value"] for z in obj["zeros"]] == ["1", "2"]
 
+    def test_zero_limit_from_above_rejected(self):
+        # 3/(z - 1) tends to 0 from above: no Stieltjes expansion
+        report = validate_s0(RationalFunction(P(3), P(-1, 1)))
+        assert not report.valid and report.a0 == 0
+        with pytest.raises(NotStieltjes):
+            cf_expand(RationalFunction(P(3), P(-1, 1)))
+
+
+def random_function(rng):
+    """c * prod(z - zeros) / prod(z - poles) with up to four of each, drawn
+    from [-3, 12]/{1, 2, 3}; about 30% of the numerators are perturbed."""
+    def point():
+        return F(rng.randint(-3, 12), rng.choice((1, 2, 3)))
+
+    num = Poly.from_linear_roots([point() for _ in range(rng.randint(0, 4))])
+    den = Poly.from_linear_roots([point() for _ in range(rng.randint(0, 4))])
+    num = num.scale(rng.choice((-1, 1)) * F(rng.randint(1, 5), rng.randint(1, 3)))
+    if rng.random() < 0.3:
+        cs = list(num.coeffs)
+        cs[rng.randrange(len(cs))] += F(rng.randint(-2, 2), rng.randint(1, 4))
+        num = Poly(cs)
+    return RationalFunction(num, den)
+
+
+def test_cf_expand_agrees_with_validate_s0(rng):
+    """cf_expand raises NotStieltjes exactly when validate_s0 finds an issue."""
+    disagreements = []
+    for _ in range(2000):
+        f = random_function(rng)
+        try:
+            cf_expand(f)
+            expands = True
+        except NotStieltjes:
+            expands = False
+        if expands != validate_s0(f).valid:
+            disagreements.append(f)
+    assert disagreements == []
+
 
 class TestContinuedFraction:
     def test_worked_example_expansion(self):
