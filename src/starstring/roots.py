@@ -3,20 +3,22 @@
 Roots of rational polynomials are located with Sturm sequences computed on
 the square-free part, in integer arithmetic with the primitive
 pseudo-remainders of ``poly``'s kernel, so coefficient growth stays tame.
-This module adds only sign evaluation, Sturm chains and bisection.  Each
-root that is not hit exactly comes out as an isolating interval (lo, hi) of
-a square-free integer polynomial.
+This module adds only evaluation, Sturm chains, refinement and the
+rational-root search.  Each root that is not hit exactly comes out as an
+isolating interval (lo, hi) of a square-free integer polynomial.
 
-All refinement runs on one integer bisection kernel, ``_bisect``.  It
-walks dyadic points y = k/2**e of the interval's own coordinate,
-x = lo + (hi - lo)*y, and evaluates the polynomial's sign there
-homogeneously in integers, so a bisection step builds no Fraction and
-takes no gcd.  A root's k/2**e path depends only on its interval, so the
-deepest path found so far serves every later refinement.
+All refinement runs on one integer kernel, ``_bisect``.  It walks dyadic
+points y = k/2**e of the interval's own coordinate, x = lo + (hi - lo)*y,
+and evaluates the polynomial there homogeneously in integers, so a step
+builds no Fraction and takes no gcd.  Secant guesses from the values at a
+cell's ends make the number of evaluations grow with the logarithm of the
+depth once the guesses hold (quadratic interval refinement); a root's cell
+at each depth is the one bisection would find, so the deepest cell found
+so far serves every later refinement.
 
-A root is classified rational or irrational by bisecting to width at most
-1/lc**2 and testing one candidate, the smallest-denominator rational in the
-interval (see ``RootVal._classify``).  Irrational roots stay as
+Rational roots are found once per square-free factor, by p-adic lifting
+and rational reconstruction (``_rational_roots``), and the isolating
+interval holding each becomes that rational.  Irrational roots stay as
 (polynomial, isolating interval) pairs that can be refined and compared
 without ever guessing a strict inequality.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from math import isqrt
 
 from .errors import DivisionByZero, NotIsolating, RangeError
 from .poly import (
@@ -32,7 +35,7 @@ from .poly import (
 )
 
 # ---------------------------------------------------------------------------
-# sign evaluation and Sturm chains
+# evaluation and Sturm chains
 
 
 def _sign_at(coeffs, x):
@@ -41,7 +44,13 @@ def _sign_at(coeffs, x):
 
 
 def _sign_frac(coeffs, p, q):
-    """Sign of the polynomial at p/q, q > 0, by homogeneous evaluation in integers."""
+    """Sign of the polynomial at p/q, q > 0."""
+    val = _value(coeffs, p, q)
+    return (val > 0) - (val < 0)
+
+
+def _value(coeffs, p, q):
+    """q**n * f(p/q) for f of degree n and q > 0, by homogeneous evaluation in integers."""
     if not coeffs:
         return 0
     acc = coeffs[-1]
@@ -49,7 +58,7 @@ def _sign_frac(coeffs, p, q):
     for i in range(len(coeffs) - 2, -1, -1):
         qpow *= q
         acc = acc * p + coeffs[i] * qpow
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
 def _sturm_chain(coeffs):
@@ -117,7 +126,7 @@ def simplest_in_open(lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# the integer bisection kernel
+# the integer refinement kernel
 
 
 def _frame(lo, hi):
@@ -127,24 +136,66 @@ def _frame(lo, hi):
     return a * d, c * b - a * d, b * d
 
 
-def _bisect(ints, frame, left, k, e, depth):
-    """Bisect the root in [k/2**e, (k+1)/2**e] of the frame's y down to level ``depth``.
+def _bisect(ints, frame, path, depth):
+    """Refine the root's cell of the frame's y down to level ``depth``.
 
-    ``ints`` is square-free with exactly one root in the interval and sign
-    ``left`` at y = 0, which every left end keeps.  The point y = k/2**e is
-    x = (u*2**e + v*k)/(den*2**e), evaluated in integers.  Returns
-    (k, depth, False) for the interval [k/2**depth, (k+1)/2**depth], or
-    (m, e, True) when the midpoint m/2**e is the root itself.
+    ``path`` = (k, e, lv, rv) is the cell [k/2**e, (k+1)/2**e], which holds
+    the one root of the square-free ``ints`` strictly inside, and the values
+    (den*2**e)**n * f(x) at its ends (None until needed); a level deeper
+    scales them by 2**n.  The point y = k/2**e is x = (u*2**e + v*k)/(den*2**e),
+    evaluated in integers.
+
+    Quadratic interval refinement (J. Abbott, ACM Commun. Comput. Algebra
+    48(1), 2014): the secant through the end values picks the point of the
+    grid 2**s times finer nearest the root, and its neighbour on the root's
+    side confirms the sub-cell; then s doubles.  A miss halves s (never
+    below 2) and takes one bisection step, as does a single level.  Every
+    point evaluated is dyadic of level <= ``depth``, so the result is what
+    plain bisection gives: the level-``depth`` path, or (m, e, 0, 0) when
+    m/2**e is the root itself.
     """
     u, v, den = frame
+    n = len(ints) - 1
+    k, e, lv, rv = path
+
+    def at(m, level):
+        return _value(ints, (u << level) + v * m, den << level)
+
+    if lv is None:
+        lv = at(k, e)
+    pos = lv > 0
+    s = 2
     while e < depth:
-        k, e = 2 * k + 1, e + 1
-        s = _sign_frac(ints, (u << e) + v * k, den << e)
-        if s == 0:
-            return k, e, True
-        if s != left:
-            k -= 1
-    return k, e, False
+        t = min(s, depth - e)
+        if t > 1:
+            if rv is None:
+                rv = at(k + 1, e)
+            top, k2, e2 = 1 << t, k << t, e + t
+            ends = {0: lv << n * t, top: rv << n * t}
+            g = (2 * top * lv // (lv - rv) + 1) // 2
+            fg = ends[g] if g in ends else at(k2 + g, e2)
+            if fg == 0:
+                return k2 + g, e2, 0, 0
+            j = g if (fg > 0) == pos else g - 1
+            o = 2 * j + 1 - g
+            fo = ends[o] if o in ends else at(k2 + o, e2)
+            if fo == 0:
+                return k2 + o, e2, 0, 0
+            if (fo > 0) != (fg > 0):
+                k, e = k2 + j, e2
+                lv, rv = (fg, fo) if j == g else (fo, fg)
+                s *= 2
+                continue
+            s = max(2, s // 2)
+        fm = at(2 * k + 1, e + 1)
+        if fm == 0:
+            return 2 * k + 1, e + 1, 0, 0
+        if (fm > 0) == pos:
+            k, lv, rv = 2 * k + 1, fm, None if rv is None else rv << n
+        else:
+            k, lv, rv = 2 * k, lv << n, fm
+        e += 1
+    return k, e, lv, rv
 
 
 def _depth_for(num, den):
@@ -176,14 +227,14 @@ class RootVal:
     change at the endpoints.  ``compare`` is exact: equality is decided
     through polynomial gcds, order through interval refinement.
 
-    ``lo``/``hi`` are the current interval: the isolating interval
-    bisected ``_depth`` times.  ``_path`` = (k, e) is the deepest bisection
-    level computed so far, in the coordinate y of ``_frame``; every
-    shallower level is a prefix of it.  ``_left``, the sign at y = 0, is
-    found on the first bisection, so roots never refined pay nothing.
+    ``lo``/``hi`` are the current interval: the isolating interval's cell
+    ``_path`` = (k, e, lv, rv) of the coordinate y of ``_frame``, with the
+    polynomial's values at the cell's ends as ``_bisect`` keeps them.  They
+    are found on the first refinement, so roots never refined pay nothing,
+    and a one-level refinement costs one evaluation.
     """
 
-    __slots__ = ("rat", "ints", "lo", "hi", "_frame", "_left", "_path", "_depth")
+    __slots__ = ("rat", "ints", "lo", "hi", "_frame", "_path")
 
     def __init__(self, rat=None, ints=None, lo=None, hi=None):
         self.rat = rat
@@ -191,9 +242,7 @@ class RootVal:
         self.lo = lo
         self.hi = hi
         self._frame = None if rat is not None else _frame(lo, hi)
-        self._left = None
-        self._path = (0, 0)
-        self._depth = 0
+        self._path = (0, 0, None, None)
 
     @staticmethod
     def rational(value):
@@ -214,68 +263,35 @@ class RootVal:
         u, v, den = self._frame
         return Fraction((u << e) + v * k, den << e)
 
-    def _extend(self, depth):
-        """Extend the bisection path to ``depth``; False if it hit the root exactly.
-
-        On a hit the root becomes the rational it is.
-        """
-        k, e = self._path
-        if e >= depth:
-            return True
-        if self._left is None:
-            u, _, den = self._frame
-            self._left = _sign_frac(self.ints, u, den)
-        k, e, exact = _bisect(self.ints, self._frame, self._left, k, e, depth)
-        if exact:
-            self.rat = self.lo = self.hi = self._point(k, e)
-            return False
-        self._path = (k, e)
-        return True
-
     def _descend(self, depth):
-        """Make the current interval the isolating interval's level-``depth`` bisection."""
-        if self.rat is None and self._extend(depth):
-            k, e = self._path
-            k >>= e - depth
-            # an endpoint the descent keeps is not rebuilt
-            steps = depth - self._depth
-            was = k >> steps
-            if k != was << steps:
-                self.lo = self._point(k, depth)
-            if k + 1 != (was + 1) << steps:
-                self.hi = self._point(k + 1, depth)
-            self._depth = depth
+        """Make the current interval the isolating interval's level-``depth`` cell.
+
+        If refinement hits the root exactly, the root becomes the rational it is.
+        """
+        was, e = self._path[:2]
+        if self.rat is not None or e >= depth:
+            return
+        path = _bisect(self.ints, self._frame, self._path, depth)
+        k = path[0]
+        if path[2] == 0:
+            self.rat = self.lo = self.hi = self._point(k, path[1])
+            return
+        self._path = path
+        # an endpoint the descent keeps is not rebuilt
+        steps = depth - e
+        if k != was << steps:
+            self.lo = self._point(k, depth)
+        if k + 1 != (was + 1) << steps:
+            self.hi = self._point(k + 1, depth)
 
     def _refine_once(self):
-        self._descend(self._depth + 1)
-
-    def _classify(self):
-        """Decide whether the root is rational; if it is, become that rational.
-
-        Any rational root p/q of the integer polynomial has q | lc, so
-        q <= |lc|.  Two distinct rationals with denominators <= |lc| lie at
-        least 1/lc**2 apart, so once the path reaches an interval of width
-        <= 1/lc**2, the root and the interval's smallest-denominator
-        rational, both strictly inside it, coincide if the root is rational
-        at all.  One exact evaluation of that candidate then decides.  The
-        current interval is left as it was.
-        """
-        bound = abs(self.ints[-1])
-        _, v, den = self._frame
-        if not self._extend(_depth_for(v * bound * bound, den)):
-            return
-        k, e = self._path
-        cand = simplest_in_open(self._point(k, e), self._point(k + 1, e))
-        if cand.denominator <= bound and _sign_at(self.ints, cand) == 0:
-            self.rat = self.lo = self.hi = cand
+        self._descend(self._path[1] + 1)
 
     def refine_to_width(self, width):
         _check_width(width)
         if self.rat is None:
             _, v, den = self._frame
-            depth = _depth_for(v * width.denominator, den * width.numerator)
-            if depth > self._depth:
-                self._descend(depth)
+            self._descend(_depth_for(v * width.denominator, den * width.numerator))
 
     def _compare_rational(self, r):
         if self.rat is not None:
@@ -321,6 +337,63 @@ class RootVal:
 def sort_rootvals(pairs):
     """Sort (RootVal, payload) pairs ascending by exact comparison."""
     return sorted(pairs, key=cmp_to_key(lambda a, b: a[0].compare(b[0])))
+
+
+# ---------------------------------------------------------------------------
+# rational roots
+
+
+def _mod_value(coeffs, x, m):
+    """f(x) mod m, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _rational_roots(ints):
+    """All rational roots of a square-free integer polynomial, by p-adic lifting.
+
+    After R. Loos, SIAM J. Comput. 12(2), 1983.  Once the root 0 is split
+    off, a root a/b in lowest terms has a | a0 and b | lc.  Modulo the
+    smallest prime p that divides neither lc nor f'(r) at any root r of f
+    mod p, a/b reduces to one of those simple roots, and Newton's iteration
+    lifts each to a modulus m > 2*|a0|*|lc|.  There a/b is the only
+    fraction with |a| <= |a0| and 0 < b <= |lc| congruent to the lift, and
+    the extended Euclidean algorithm on (m, lift) finds it.  Exact
+    evaluation keeps the candidates that are roots.
+    """
+    roots = []
+    if ints[0] == 0:
+        roots.append(Fraction(0))
+        ints = ints[1:]
+    if len(ints) < 2:
+        return roots
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    a0, lc = abs(ints[0]), abs(ints[-1])
+    p = 1
+    while True:
+        p += 1
+        if lc % p == 0 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            continue
+        reduced = [c % p for c in ints]
+        simple = [r for r in range(p) if _mod_value(reduced, r, p) == 0]
+        if all(_mod_value(deriv, r, p) for r in simple):
+            break
+    for r in simple:
+        m = p
+        while m <= 2 * a0 * lc:
+            m *= m
+            r = (r - _mod_value(ints, r, m) * pow(_mod_value(deriv, r, m), -1, m)) % m
+        # Euclid on (m, r), stopped at the first remainder <= a0, gives a = b*r mod m
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > a0:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        a, b = (r1, t1) if t1 > 0 else (-r1, -t1)
+        if b <= lc and _sign_frac(ints, a, b) == 0:
+            roots.append(Fraction(a, b))
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +448,15 @@ def isolate_real_roots(p, lo=Fraction(0), hi=None, classify_rational=True):
     """All real roots of p in the open interval (lo, hi), with multiplicity.
 
     ``lo``/``hi`` may be None for the unbounded side.  Rational roots come
-    back exact; irrational ones as refinable isolating intervals.  Returns
-    a list of (RootVal, multiplicity) sorted ascending.
+    back exact: each square-free factor's rational roots are found in one
+    ``_rational_roots`` call, and the isolating interval holding one becomes
+    that rational.  Irrational roots come back as refinable isolating
+    intervals.  Returns a list of (RootVal, multiplicity) sorted ascending.
 
-    ``classify_rational=False`` skips the exact rational-root extraction,
-    leaving every root in interval form; comparisons stay exact either way,
-    so order/equality checks that never need the literal rational value can
-    avoid the (potentially long) irrationality certification.
+    ``classify_rational=False`` skips that search, leaving in interval form
+    every root that isolation does not hit exactly; comparisons stay exact
+    either way, so order/equality checks that never need the literal
+    rational value need not pay for it.
     """
     if p.is_zero:
         raise DivisionByZero("root isolation of the zero polynomial")
@@ -412,27 +487,25 @@ def isolate_real_roots(p, lo=Fraction(0), hi=None, classify_rational=True):
                 break
         if len(ints) <= 1:
             continue
-        for item in _isolate_squarefree(ints, a, b):
-            ilo, ihi = item
-            if ilo == ihi:
-                found.append((RootVal.rational(ilo), mult))
-                continue
-            rv = RootVal(ints=ints, lo=ilo, hi=ihi)
-            if classify_rational:
-                rv._classify()
+        rationals = _rational_roots(ints) if classify_rational else []
+        for ilo, ihi in _isolate_squarefree(ints, a, b):
+            rat = ilo if ilo == ihi else next((r for r in rationals if ilo < r < ihi), None)
+            rv = RootVal(ints=ints, lo=ilo, hi=ihi) if rat is None else RootVal.rational(rat)
             found.append((rv, mult))
     return sort_rootvals(found)
 
 
 def refine_root(p, interval, width):
-    """Bisect an isolating interval of p's square-free part down to ``width``.
+    """Refine an isolating interval of p's square-free part down to ``width``.
 
     Collapses to a degenerate (r, r) interval when an exact rational root is
     hit.  Raises NotIsolating when the endpoint signs do not bracket a root,
-    and RangeError unless ``width`` > 0.
+    and RangeError unless ``width`` > 0 and lo <= hi.
     """
     _check_width(width)
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    if lo > hi:
+        raise RangeError(f"reversed interval ({lo}, {hi})")
     part = squarefree_part(p)
     ints = part.primitive_int()[0]
     s_lo, s_hi = _sign_at(ints, lo), _sign_at(ints, hi)

@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starstring import roots
 from starstring.errors import NotIsolating, RangeError
-from starstring.poly import ONE, Poly
+from starstring.poly import ONE, Poly, squarefree_part
 from starstring.roots import (
     RootVal,
     isolate_real_roots,
@@ -101,6 +102,12 @@ def test_refinement_rejects_nonpositive_width(width):
     root = isolate_real_roots(P(-2, 0, 1), F(0), None)[0][0]
     with pytest.raises(RangeError):
         root.refine_to_width(width)
+
+
+def test_refine_root_rejects_reversed_interval():
+    with pytest.raises(RangeError):
+        refine_root(P(-2, 0, 1), (F(2), F(1)), F(1, 1000))
+    assert refine_root(P(-2, 1), (F(2), F(2)), F(1, 4)) == (F(2), F(2))
 
 
 def test_refine_root_not_isolating():
@@ -250,3 +257,112 @@ def test_isolation_against_sympy():
             assert len(inside) == 1
             f, m = inside[0]
             assert f.count_roots(sym(lo), sym(hi)) == 1 and f.degree() > 1 and m == mult
+
+
+def _plain_bisect(ints, frame, depth):
+    """Reference: bisect the frame's y from [0, 1]; (k, e) or the exact root k/2**e."""
+    u, v, den = frame
+
+    def sign(k, e):
+        val = roots._value(ints, (u << e) + v * k, den << e)
+        return (val > 0) - (val < 0)
+
+    k, e, left = 0, 0, sign(0, 0)
+    while e < depth:
+        k, e = 2 * k + 1, e + 1
+        s = sign(k, e)
+        if s == 0:
+            return F(k, 1 << e)
+        k -= s != left
+    return k, e
+
+
+def _kernel(ints, frame, depth, path=(0, 0, None, None)):
+    path = roots._bisect(ints, frame, path, depth)
+    return F(path[0], 1 << path[1]) if path[2] == 0 else path
+
+
+def test_quadratic_refinement_matches_plain_bisection():
+    rng = random.Random(20261)
+    cases = []
+    for _ in range(40):
+        coeffs = [rng.randint(-60, 60) for _ in range(rng.randint(2, 7))] + [rng.randint(1, 9)]
+        part = squarefree_part(Poly([F(c) for c in coeffs]))
+        for rv, _ in isolate_real_roots(part, None, None, classify_rational=False):
+            if not rv.is_rational:
+                cases.append((rv.ints, rv.lo, rv.hi))
+    for _ in range(40):
+        # a root dyadic in the frame's coordinate, times a factor with no real root
+        lo = F(rng.randint(-50, 50), rng.randint(1, 9))
+        hi = lo + F(rng.randint(1, 50), rng.randint(1, 9))
+        e = rng.randint(1, 40)
+        r = lo + (hi - lo) * F(rng.randrange(1, 1 << e, 2), 1 << e)
+        cases.append((_int_mul([-r.numerator, r.denominator], [rng.randint(1, 9), 0, 1]), lo, hi))
+    for ints, lo, hi in cases:
+        frame = roots._frame(lo, hi)
+        depth = rng.randint(1, 130)
+        got = _kernel(ints, frame, depth)
+        want = _plain_bisect(ints, frame, depth)
+        assert (got if isinstance(got, F) else got[:2]) == want
+        straight = _kernel(ints, frame, 64)
+        stepped = _kernel(ints, frame, 17)
+        if not isinstance(stepped, F):
+            stepped = _kernel(ints, frame, 64, stepped)
+        assert stepped == straight
+
+
+def test_rational_roots_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20262)
+    for _ in range(80):
+        # with monic_rest every factor but the first is monic, so the first
+        # root's denominator is the whole leading coefficient
+        monic_rest = rng.random() < 0.3
+        values = {F(rng.randint(-30, 30), rng.choice((1, 7, 12, 105, 210)))}
+        values |= {F(rng.randint(-30, 30), 1 if monic_rest else rng.randint(1, 12))
+                   for _ in range(rng.randint(0, 3))}
+        if rng.random() < 0.2:
+            values.add(F(0))
+        if rng.random() < 0.5:
+            # roots congruent mod 3, 5 and 7 are double roots there, so the
+            # prime search must skip those primes
+            r = rng.randint(-30, 30)
+            values |= {F(r), F(r + 105)}
+        coeffs = [1]
+        for v in values:
+            coeffs = _int_mul(coeffs, [-v.numerator, v.denominator])
+        if rng.random() < 0.7:
+            lead = 1 if monic_rest else rng.choice((1, 2, 5, 105))
+            while True:
+                irr = [rng.randint(-40, 40) for _ in range(rng.randint(2, 4))] + [lead]
+                if sympy.Poly(irr[::-1], x).is_irreducible:
+                    break
+            coeffs = _int_mul(coeffs, irr)
+        want = sorted(values)
+        assert sorted(roots._rational_roots(coeffs)) == want
+        factors = sympy.Poly(coeffs[::-1], x).factor_list()[1]
+        assert want == sorted(F(int(-f.nth(0)), int(f.nth(1))) for f, _ in factors if f.degree() == 1)
+
+
+def test_refinement_and_classification_cost_no_bisection(monkeypatch):
+    calls = []
+    value = roots._value
+    monkeypatch.setattr(roots, "_value", lambda *args: calls.append(1) or value(*args))
+
+    root = isolate_real_roots(P(-2, 0, 1), F(0), None)[0][0]
+    del calls[:]
+    root.refine_to_width(F(1, 1 << 4096))
+    lo, hi = root.bounds()
+    assert hi - lo <= F(1, 1 << 4096) and lo * lo < 2 < hi * hi
+    assert len(calls) < 200  # plain bisection takes about 4096
+
+    a = 3 ** 757  # a 1200-bit leading coefficient
+    quadratic = P(-(2 * a + 1), 0, a)
+    del calls[:]
+    isolate_real_roots(quadratic, None, None, classify_rational=False)
+    unclassified = len(calls)
+    del calls[:]
+    found = isolate_real_roots(quadratic, None, None)
+    assert not any(rv.is_rational for rv, _ in found)
+    assert len(calls) == unclassified
