@@ -78,9 +78,8 @@ from .ratfun import (
     cf_tail,
     cf_to_ratfun,
     partial_fractions,
-    ratfun_normalize,
     validate_s0,
 )
-from .roots import RootVal, isolate_real_roots, refine_root, simplest_in_open
+from .roots import RootVal, isolate_real_roots, refine_root
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ from .model import (
     parse_spectra,
     serialize_graph,
 )
-from .poly import Poly
+from .poly import ONE, Poly, poly_gcd
 from .rational import format_rational, parse_rational
 
 DEFAULT_REFINE_WIDTH = Fraction(1, 1 << 64)
@@ -190,13 +190,10 @@ def _cmd_forward(args):
     if args.digits < 0:
         raise RangeError(f"--digits must be >= 0, got {args.digits}")
     graph = parse_graph(_read(args.graph, "graph"))
-    neumann, dirichlet = fwd.graph_spectra(graph)
+    phi_n, phi_d = fwd._char_polys(graph)
+    neumann, dirichlet = fwd.spectrum_of(phi_n), fwd.spectrum_of(phi_d)
     _write(args, "", _dump(_spectra_json(neumann, dirichlet, args)))
     if args.emit_polys:
-        if graph.root is Root.CENTER:
-            phi_n, phi_d = fwd.char_polys_center(graph)
-        else:
-            phi_d, phi_n = fwd.char_polys_pendant(graph)
         _write(args, ".polys", _dump({
             "phi_neumann": _poly_json(phi_n),
             "phi_dirichlet": _poly_json(phi_d),
@@ -272,10 +269,15 @@ def _cmd_validate(args):
 def _roundtrip_graph(graph):
     if graph.root is Root.CENTER:
         quotient, _ = fwd.center_quotient(graph)
-        factors = [
-            fwd.edge_cauer_polys(e, fwd.Flavor.DIRICHLET_END).even.monic()
-            for e in graph.edges
-        ]
+        # a value shared by k edges is a pole of the reduced quotient once,
+        # so each edge keeps only what the earlier edges have not taken; an
+        # edge left with factor 1 comes back massless
+        factors, taken = [], ONE
+        for e in graph.edges:
+            f = fwd.edge_cauer_polys(e, fwd.Flavor.DIRICHLET_END).even.monic()
+            f = f.divexact(poly_gcd(f, taken))
+            factors.append(f)
+            taken = taken * f
         lengths = [e.total_length for e in graph.edges]
         psi = quotient.inverse()
         rebuilt = ic.reconstruct_center_grouped(psi, factors, lengths)
@@ -298,10 +300,9 @@ def _roundtrip_spectra(args, spectra, lengths):
     if args.root == "pendant":
         main_length = parse_rational(args.main_length, "--main-length")
         rec = ip.reconstruct_pendant(spectra, main_length, lengths)
-        phi_d, phi_n = fwd.char_polys_pendant(rec.graph)
     else:
         rec = ic.reconstruct_center(spectra, lengths)
-        phi_n, phi_d = fwd.char_polys_center(rec.graph)
+    phi_n, phi_d = fwd._char_polys(rec.graph)
     ok = all(
         phi.monic() == Poly.from_linear_roots([v for v, m in values for _ in range(m)])
         for phi, values in ((phi_n, spectra.neumann_sq), (phi_d, spectra.dirichlet_sq))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import InvariantViolation
 from .model import Root
 from .poly import ONE, Poly, poly_gcd, squarefree_factor
-from .ratfun import RationalFunction, _cauer_sequence, ratfun_normalize
+from .ratfun import RationalFunction, _cauer_sequence
 from .roots import isolate_real_roots
 
 
@@ -121,13 +121,18 @@ def spectrum_of(p, classify_rational=True):
     return isolate_real_roots(p, Fraction(0), None, classify_rational)
 
 
+def _char_polys(graph):
+    """(phi_N, phi_D) of either root; at a pendant root the clamped-root
+    polynomial carries the Dirichlet spectrum."""
+    if graph.root is Root.CENTER:
+        return char_polys_center(graph)
+    phi_d, phi_n = char_polys_pendant(graph)
+    return phi_n, phi_d
+
+
 def graph_spectra(graph):
     """(neumann_roots, dirichlet_roots) of the graph's two problems."""
-    if graph.root is Root.CENTER:
-        phi_n, phi_d = char_polys_center(graph)
-    else:
-        phi_d, phi_n = char_polys_pendant(graph)
-        # pendant root: clamped-root polynomial carries the Dirichlet spectrum
+    phi_n, phi_d = _char_polys(graph)
     return spectrum_of(phi_n), spectrum_of(phi_d)
 
 
@@ -164,7 +169,7 @@ def total_length_identity(main_edge):
 def center_quotient(graph):
     """Canonical phi_D/phi_N with the cancelled common factor."""
     phi_n, phi_d = char_polys_center(graph)
-    return ratfun_normalize(phi_d, phi_n)
+    return RationalFunction.make(phi_d, phi_n)
 
 
 def center_quotient_identity(graph):
@@ -180,7 +185,7 @@ def pendant_quotient(graph):
     """Canonical l0 * phi(clamped root)/phi(free root) with cancelled factor."""
     phi_d, phi_n = char_polys_pendant(graph)
     l0 = graph.main_edge.lengths[0]
-    return ratfun_normalize(phi_d.scale(l0), phi_n)
+    return RationalFunction.make(phi_d.scale(l0), phi_n)
 
 
 def pendant_subgraph_identities(graph):

@@ -333,17 +333,12 @@ def enumerate_constraints(spectra, lengths, plan=None, rec=None):
     combinatorial count of feasible occurrence partitions.
 
     ``rec``, a CenterReconstruction of the same data and plan, supplies the
-    residues, central mass and plan, which are otherwise computed here.
+    residues, central mass and plan; without it the data are reconstructed.
     """
     q = len(lengths)
     if rec is None:
-        poles = [v for v, _ in spectra.dirichlet_sq]
-        pf = partial_fractions_at(build_psi(spectra, lengths), poles)
-        central_mass, residues = pf.linear_coeff, pf.terms
-        cplan = plan_partition(spectra, q, plan)
-    else:
-        central_mass, residues, cplan = rec.central_mass, rec.residues, rec.plan_used
-    residue_of = dict(residues)
+        rec = reconstruct_center(spectra, lengths, plan)
+    residue_of = dict(rec.residues)
     partition_count = 1
     poles = []
     for value, mult in spectra.dirichlet_sq:
@@ -356,12 +351,12 @@ def enumerate_constraints(spectra, lengths, plan=None, rec=None):
             "constraint": "shares positive, summing to the total residue",
         })
     return {
-        "central_mass": format_rational(central_mass),
+        "central_mass": format_rational(rec.central_mass),
         "poles": poles,
         "feasible_partitions": partition_count,
-        "partition_used": [list(a.edges) for a in cplan.assignments],
+        "partition_used": [list(a.edges) for a in rec.plan_used.assignments],
         "shares_used": {
             format_rational(a.value): [format_rational(s) for s in a.shares]
-            for a in cplan.assignments
+            for a in rec.plan_used.assignments
         },
     }

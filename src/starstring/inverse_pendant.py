@@ -66,13 +66,14 @@ class MainEdgeDecomposition:
     common_zeros: tuple  # ((value, mult), ...) shared by the two spectra
 
 
-def decompose_main_from_quotient(phi, main_length, gamma=None, common_zeros=()):
-    """Cut the continued fraction of phi at the main-string length."""
+def decompose_main_from_quotient(phi, main_length, common_zeros=()):
+    """Cut the continued fraction of phi at the main-string length.
+
+    gamma = phi(0) is the sum of the continued fraction's constants.
+    """
     cf = cf_expand(phi)
     total = sum(cf.a, Fraction(0))
     main_length = Fraction(main_length)
-    if gamma is None:
-        gamma = total
     if main_length >= total:
         raise MainTooLong(
             f"main length {main_length} >= quotient value {total} at zero"
@@ -94,16 +95,14 @@ def decompose_main_from_quotient(phi, main_length, gamma=None, common_zeros=()):
     else:
         tail = cf_to_ratfun(StieltjesCF((tail_constant,) + cf.a[cut + 1:], cf.b[cut:]))
     return MainEdgeDecomposition(
-        main, cut, tail_constant, tail, cf, Fraction(gamma), tuple(common_zeros)
+        main, cut, tail_constant, tail, cf, total, tuple(common_zeros)
     )
 
 
 def decompose_main(spectra, main_length, lengths):
     """Main-edge decomposition from raw spectral data."""
-    phi, gamma, _ = build_phi(spectra, main_length, lengths)
-    return decompose_main_from_quotient(
-        phi, main_length, gamma=gamma, common_zeros=_common_values(spectra)
-    )
+    phi, _, _ = build_phi(spectra, main_length, lengths)
+    return decompose_main_from_quotient(phi, main_length, _common_values(spectra))
 
 
 def validate_pendant(spectra, main_length, lengths):

@@ -180,16 +180,9 @@ class Poly:
         return self.scale(1 / self.lc)
 
     def primitive_int(self):
-        """Integer coefficient list with content 1, same sign and roots.
-
-        Returns (int_coeffs, scale) with self = scale * Poly(int_coeffs).
-        """
-        if self.is_zero:
-            return [], Fraction(0)
+        """Integer coefficient list with content 1, same sign and roots."""
         den = _ilcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        prim = _int_primitive(ints)
-        return prim, Fraction(ints[-1] // prim[-1], den)
+        return _int_primitive([c.numerator * (den // c.denominator) for c in self.coeffs])
 
 
 def _linear_product(factors):
@@ -268,7 +261,7 @@ def poly_gcd(p, q):
     """Monic greatest common divisor; gcd(p, 0) = monic(p)."""
     if p.is_zero and q.is_zero:
         raise DivisionByZero("gcd(0, 0) undefined")
-    return Poly(_int_poly_gcd(p.primitive_int()[0], q.primitive_int()[0])).monic()
+    return Poly(_int_poly_gcd(p.primitive_int(), q.primitive_int())).monic()
 
 
 def poly_extended_gcd(p, q):

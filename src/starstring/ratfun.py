@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import BadShape, DivisionByZero, InvariantViolation, IrrationalPole, NotStieltjes, RangeError
 from .poly import ONE, Poly, ZERO, poly_extended_gcd, poly_gcd
 from .rational import format_rational
-from .roots import isolate_real_roots, sort_rootvals
+from .roots import isolate_real_roots
 
 
 class RationalFunction:
@@ -34,10 +34,9 @@ class RationalFunction:
     constant lives in the numerator, so equality is plain coefficient
     comparison.  The zero function is 0/1.
 
-    ``make`` is the only general canonicalizer.  The arithmetic below keeps
-    canonical operands canonical without asking it: negation and inversion
-    keep a coprime pair coprime, and sums follow Henrici's reduced-fraction
-    rule, which needs at most gcd(b, d) and gcd(t, gcd(b, d)).
+    ``make`` is the only general canonicalizer.  Negation and inversion
+    keep a coprime pair coprime, as does a sum with a polynomial; any other
+    sum is canonicalized by ``make``.
     """
 
     __slots__ = ("num", "den")
@@ -99,23 +98,14 @@ class RationalFunction:
         return f"RationalFunction({self.num!r} / {self.den!r})"
 
     def _sum(self, c, d):
-        """self + c/d for a canonical c/d (Henrici; Knuth, TAOCP 4.5.1)."""
+        """self + c/d for a canonical c/d."""
         a, b = self.num, self.den
         # a canonical denominator of degree 0 is 1
         if b.degree == 0:
             return RationalFunction.from_coprime(a * d + c, d)
         if d.degree == 0:
             return RationalFunction.from_coprime(a + c * b, b)
-        g = poly_gcd(b, d)
-        if g.degree == 0:
-            return RationalFunction.from_coprime(a * d + c * b, b * d)
-        b = b.divexact(g)
-        t = a * d.divexact(g) + c * b
-        # any factor t shares with b*d/g lies in g
-        h = poly_gcd(t, g)
-        if h.degree > 0:
-            t, d = t.divexact(h), d.divexact(h)
-        return RationalFunction.from_coprime(t, b * d)
+        return RationalFunction.make(a * d + c * b, b * d)[0]
 
     def __add__(self, other):
         other = _as_rf(other)
@@ -155,11 +145,6 @@ def _as_rf(x):
     if isinstance(x, Poly):
         return RationalFunction.from_coprime(x, ONE)
     return RationalFunction.constant(Fraction(x))
-
-
-def ratfun_normalize(num, den):
-    """Reduce num/den to canonical form, keeping the cancelled common factor."""
-    return RationalFunction.make(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -496,4 +481,4 @@ def smallest_zero(f):
     roots = isolate_real_roots(f.num, Fraction(0), None)
     if not roots:
         return None
-    return sort_rootvals(roots)[0][0]
+    return roots[0][0]

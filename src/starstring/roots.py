@@ -98,34 +98,6 @@ def _cauchy_bound(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# simplest rational in an open interval
-
-
-def simplest_in_open(lo, hi):
-    """The rational with the smallest denominator in the open interval (lo, hi).
-
-    ``hi=None`` means +infinity.  Stern-Brocot descent on the continued
-    fraction of the endpoints, run as a loop over integer numerators and
-    denominators and folded back once at the end.
-    """
-    ln, ld = lo.numerator, lo.denominator
-    hn, hd = (None, None) if hi is None else (hi.numerator, hi.denominator)
-    terms = []
-    while True:
-        fl = ln // ld
-        if hn is None or (fl + 1) * hd < hn:
-            break
-        terms.append(fl)
-        # (lo, hi) <- (1/(hi - fl), 1/(lo - fl)), the latter +infinity at lo == fl
-        rest = ln - fl * ld
-        ln, ld, hn, hd = hd, hn - fl * hd, (ld if rest else None), rest
-    p, q = fl + 1, 1
-    for fl in reversed(terms):
-        p, q = fl * p + q, p
-    return Fraction(p, q)
-
-
-# ---------------------------------------------------------------------------
 # the integer refinement kernel
 
 
@@ -462,7 +434,7 @@ def isolate_real_roots(p, lo=Fraction(0), hi=None, classify_rational=True):
         raise DivisionByZero("root isolation of the zero polynomial")
     found = []
     for factor, mult in squarefree_factor(p):
-        ints = factor.primitive_int()[0]
+        ints = factor.primitive_int()
         if len(ints) <= 1:
             continue
         bound = _cauchy_bound(ints) + 1
@@ -470,21 +442,13 @@ def isolate_real_roots(p, lo=Fraction(0), hi=None, classify_rational=True):
         b = bound if hi is None else min(hi, bound)
         if not a < b:
             continue
-        f = factor
-        # open interval: roots sitting exactly on an endpoint are excluded,
-        # and Sturm evaluation needs non-root endpoints
-        while _sign_at(ints, a) == 0:
-            f = f.divexact(Poly([-a, 1]))
-            ints = f.primitive_int()[0]
-            if len(ints) <= 1:
-                break
-        if len(ints) <= 1:
-            continue
-        while _sign_at(ints, b) == 0:
-            f = f.divexact(Poly([-b, 1]))
-            ints = f.primitive_int()[0]
-            if len(ints) <= 1:
-                break
+        # open interval: a root sitting exactly on an endpoint is excluded,
+        # and Sturm evaluation needs non-root endpoints; the square-free
+        # factor has at most one root at each
+        for end in (a, b):
+            if _sign_at(ints, end) == 0:
+                factor = factor.divexact(Poly([-end, 1]))
+                ints = factor.primitive_int()
         if len(ints) <= 1:
             continue
         rationals = _rational_roots(ints) if classify_rational else []
@@ -507,7 +471,7 @@ def refine_root(p, interval, width):
     if lo > hi:
         raise RangeError(f"reversed interval ({lo}, {hi})")
     part = squarefree_part(p)
-    ints = part.primitive_int()[0]
+    ints = part.primitive_int()
     s_lo, s_hi = _sign_at(ints, lo), _sign_at(ints, hi)
     if s_lo == 0:
         return lo, lo

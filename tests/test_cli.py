@@ -151,6 +151,25 @@ def test_roundtrip_graph(tmp_path):
     assert json.loads(out.read_text())["pass"] is True
 
 
+@pytest.mark.parametrize("central_mass, edges", [
+    # pairwise coprime Dirichlet factors
+    ("1", [(["1", "1"], ["1"]), (["2", "1"], ["3"])]),
+    # two edges share the Dirichlet value of z - 2
+    ("1", [(["1", "1"], ["1"]), (["1", "1"], ["1"]), (["2", "1"], ["3"])]),
+    # three edges share the irrational factor 6z^2 - 12z + 4
+    ("0", [(["1", "2", "1"], ["1", "3"])] * 3),
+])
+def test_roundtrip_center_graph(tmp_path, central_mass, edges):
+    graph = write(tmp_path / "g.json", {
+        "root": "center", "central_mass": central_mass,
+        "edges": [{"lengths": lengths, "masses": masses} for lengths, masses in edges],
+    })
+    out = tmp_path / "verdict.json"
+    assert main(["verify-roundtrip", "--graph", graph, "--out", str(out)]) == 0
+    verdict = json.loads(out.read_text())
+    assert verdict["mode"] == "center" and verdict["pass"] is True
+
+
 def test_roundtrip_spectra(ex_files):
     tmp, spectra, plan = ex_files
     out = tmp / "verdict.json"
@@ -171,6 +190,21 @@ def test_inverse_pendant_enumerate(ex_files):
     constraints = json.loads((tmp / "graph.constraints.json").read_text())
     # the subgraph data is rational here, so the cross-check report is present
     assert constraints["subgraph_report"]["valid"] is True
+
+
+def test_inverse_pendant_enumerate_irrational_subgraph(tmp_path):
+    spectra = write(tmp_path / "s.json", {
+        "neumann_squared": [{"value": v, "mult": 1} for v in ("7/2", "33/2", "30")],
+        "dirichlet_squared": [{"value": v, "mult": 1} for v in ("4", "19", "39")],
+    })
+    out = tmp_path / "graph.json"
+    code = main([
+        "inverse-pendant", "--spectra", spectra, "--main-length", "1/3",
+        "--lengths", "3,1", "--out", str(out), "--enumerate",
+    ])
+    assert code == 0
+    # the subgraph spectra are irrational, so there is no centre-root report
+    assert json.loads((tmp_path / "graph.constraints.json").read_text()) == {"subgraph_report": None}
 
 
 def test_matrix_command(tmp_path):

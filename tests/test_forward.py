@@ -16,7 +16,7 @@ from starstring.forward import (
 )
 from starstring.model import Edge, Root, StarGraph
 from starstring.poly import Poly
-from starstring.ratfun import ratfun_normalize
+from starstring.ratfun import RationalFunction
 from tests.conftest import (
     duplicated_edge_center_graph,
     duplicated_edge_pendant_graph,
@@ -98,8 +98,8 @@ class TestCharPolysCenter:
             ),
         )
         phi_n, phi_d = char_polys_center(g)
-        rf, _ = ratfun_normalize(phi_n, phi_d)
-        expect, _ = ratfun_normalize(P(3, -3), P(2, -1))
+        rf, _ = RationalFunction.make(phi_n, phi_d)
+        expect, _ = RationalFunction.make(P(3, -3), P(2, -1))
         assert rf == expect
 
     def test_pendant_root_raises_invariant_violation(self):

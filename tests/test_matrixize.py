@@ -92,6 +92,20 @@ def test_interlacing_certificate(rng):
         assert interlacing_certificate(L, diag).ok
 
 
+def test_interlacing_certificate_failures():
+    # det(L - z*I) = z^2 + 1 has no real root
+    rotation = RationalMatrix(((F(0), F(1)), (F(-1), F(0))))
+    cert = interlacing_certificate(rotation, (F(1), F(1)))
+    assert cert.to_json() == {
+        "ok": False, "full_count": 0, "sub_count": 1,
+        "failures": ["full pencil determinant has non-real roots"],
+    }
+    # an indefinite mass diagonal: the full roots are +-sqrt(3), mu_1 = -2 lies below both
+    cert = interlacing_certificate(RationalMatrix(((F(2), F(1)), (F(1), F(2)))), (F(1), F(-1)))
+    assert not cert.ok
+    assert (cert.full_count, cert.sub_count, cert.failures) == (2, 1, ("mu_1 < lambda_1",))
+
+
 def test_trivially_interlaced_single_row():
     g = StarGraph(Root.CENTER, F(1), (Edge((F(1),), ()), Edge((F(1),), ())))
     L, diag = build_pencil(g)

@@ -172,8 +172,10 @@ def test_gcd_and_squarefree_against_sympy():
         q = _random_poly(rng, rng.randint(0, 12), rng.randint(64, 256))
         pairs.append((p * g, q * g))
     for p, q in pairs:
-        ints, content = p.primitive_int()
-        assert Poly(ints).scale(content) == p and math.gcd(*ints) == (1 if ints else 0)
+        ints = p.primitive_int()
+        assert Poly(ints).monic() == p.monic()
+        assert (Poly(ints).lc > 0) == (p.lc > 0)
+        assert math.gcd(*ints) == (1 if ints else 0)
         expect = _from_sympy(sympy.gcd(_to_sympy(sympy, x, p), _to_sympy(sympy, x, q)).monic())
         assert poly_gcd(p, q) == expect
         assert poly_gcd(q, p) == expect

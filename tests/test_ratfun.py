@@ -18,7 +18,6 @@ from starstring.ratfun import (
     cf_to_ratfun,
     partial_fractions,
     partial_fractions_at,
-    ratfun_normalize,
     smallest_zero,
     split_proper_by_factors,
     validate_s0,
@@ -37,18 +36,18 @@ class TestNormalize:
     def test_cancels_shared_factor(self):
         num = P(1, -1) * P(1, F(-1, 2)) ** 2
         den = P(1, -2) * P(1, F(-2, 3)) * P(1, F(-1, 2))
-        rf, cancelled = ratfun_normalize(num, den)
+        rf, cancelled = RationalFunction.make(num, den)
         assert cancelled == P(-2, 1)
         # up to a constant this is (z^2-3z+2)/(z^2-2z+3/4)
         assert rf.den == P(F(3, 4), -2, 1)
         assert rf.num == P(2, -3, 1).scale(F(3, 8))
 
     def test_poly_over_one(self):
-        rf, cancelled = ratfun_normalize(P(1, 2), ONE)
+        rf, cancelled = RationalFunction.make(P(1, 2), ONE)
         assert rf.num == P(1, 2) and rf.den == ONE and cancelled == ONE
 
     def test_full_cancellation(self):
-        rf, cancelled = ratfun_normalize(P(-1, 1), P(-1, 1))
+        rf, cancelled = RationalFunction.make(P(-1, 1), P(-1, 1))
         assert rf == RationalFunction.constant(1)
         assert cancelled == P(-1, 1)
 

@@ -5,7 +5,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from starstring import roots
 from starstring.errors import NotIsolating, RangeError
@@ -14,7 +13,6 @@ from starstring.roots import (
     RootVal,
     isolate_real_roots,
     refine_root,
-    simplest_in_open,
 )
 
 
@@ -50,6 +48,31 @@ def test_domain_restriction():
     p = P(-1, 1) * P(1, 1)  # roots at 1 and -1
     roots = isolate_real_roots(p, F(0), None)
     assert [(rv.rat, m) for rv, m in roots] == [(F(1), 1)]
+
+
+@pytest.mark.parametrize("classify", [True, False])
+@pytest.mark.parametrize("p, lo, hi, expect", [
+    # roots 0, 1 and 3 of -z(z-1)(z-3), on and off the endpoints
+    (P(0, -3, 4, -1), F(0), F(3), [(1, 1)]),
+    (P(0, -3, 4, -1), F(1), F(3), []),
+    (P(0, -3, 4, -1), None, F(3), [(0, 1), (1, 1)]),
+    (P(0, -3, 4, -1), F(0), None, [(1, 1), (3, 1)]),
+    # both endpoints are roots of one square-free factor
+    (P(-1, 1) * P(-3, 1), F(1), F(3), []),
+    # a double root at lo, a simple one at hi, sqrt(2) between them
+    (P(-1, 1) ** 2 * P(-3, 1) * P(-2, 0, 1), F(1), F(3), [(None, 1)]),
+])
+def test_roots_on_the_endpoints_are_excluded(p, lo, hi, expect, classify):
+    roots = isolate_real_roots(p, lo, hi, classify)
+    assert len(roots) == len(expect)
+    for (rv, mult), (value, m) in zip(roots, expect):
+        assert mult == m
+        if value is None:
+            lo_b, hi_b = rv.bounds()
+            assert not rv.is_rational and lo_b * lo_b < 2 < hi_b * hi_b
+        else:
+            assert rv.compare(RootVal.rational(value)) == 0
+            assert rv.is_rational or not classify
 
 
 def test_random_rational_products(rng):
@@ -113,47 +136,6 @@ def test_refine_root_rejects_reversed_interval():
 def test_refine_root_not_isolating():
     with pytest.raises(NotIsolating):
         refine_root(P(-2, 0, 1), (F(2), F(3)), F(1, 4))
-
-
-def test_simplest_in_open():
-    assert simplest_in_open(F(1, 3), F(1, 2)) == F(2, 5)
-    assert simplest_in_open(F(-1, 2), F(1, 2)) == 0
-    assert simplest_in_open(F(5, 2), F(7, 2)) == 3
-    assert simplest_in_open(F(10, 7), F(13, 9)) == F(23, 16)
-    s = simplest_in_open(F(141, 100), F(142, 100))
-    assert F(141, 100) < s < F(142, 100)
-    for q in range(1, s.denominator):
-        for p in range(int(F(141, 100) * q), int(F(142, 100) * q) + 2):
-            assert not (F(141, 100) < F(p, q) < F(142, 100))
-
-
-def test_simplest_in_open_deep_continued_fraction():
-    # Fib(n+1)/Fib(n) has n - 1 partial quotients; the interval forces a
-    # descent about 4400 levels deep
-    a, b = 0, 1
-    for _ in range(4400):
-        a, b = b, a + b
-    x = F(b, a)  # Fib(4401)/Fib(4400)
-    eps = F(1, 1 << 3000)
-    s = simplest_in_open(x - eps, x + eps)
-    assert x - eps < s < x + eps
-    assert s.denominator <= x.denominator
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_simplest_minimality(data):
-    lo = F(data.draw(st.integers(-40, 40)), data.draw(st.integers(1, 40)))
-    width = F(data.draw(st.integers(1, 30)), data.draw(st.integers(1, 1000)))
-    hi = lo + width
-    s = simplest_in_open(lo, hi)
-    assert lo < s < hi
-    # no fraction with a smaller denominator fits in the open interval
-    for q in range(1, s.denominator):
-        p_lo = (lo * q).numerator // (lo * q).denominator
-        p_hi = -((-hi * q).numerator // (-hi * q).denominator)
-        for p in range(p_lo, p_hi + 1):
-            assert not lo < F(p, q) < hi
 
 
 def test_random_mixed_sorting(rng):
