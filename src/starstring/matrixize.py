@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm as _ilcm
 
 from .errors import InvariantViolation, RequiresPositiveCentralMass, SchemaError
 from .model import Root
-from .poly import ONE, Poly
+from .poly import ONE, Poly, _int_primitive, _prem_signed
 from .rational import format_rational, parse_rational
 from .roots import isolate_real_roots
 
@@ -52,12 +51,12 @@ class RationalMatrix:
     def from_json(obj, context="matrix"):
         if not isinstance(obj, list):
             raise SchemaError(f"{context}: expected array of arrays")
-        return RationalMatrix(
-            tuple(
-                tuple(parse_rational(c, f"{context}[{i}][{j}]") for j, c in enumerate(row))
-                for i, row in enumerate(obj)
-            )
-        )
+        rows = []
+        for i, row in enumerate(obj):
+            if not isinstance(row, list):
+                raise SchemaError(f"{context}[{i}]: expected array")
+            rows.append(tuple(parse_rational(c, f"{context}[{i}][{j}]") for j, c in enumerate(row)))
+        return RationalMatrix(tuple(rows))
 
 
 def build_pencil(graph):
@@ -88,36 +87,6 @@ def build_pencil(graph):
                 rows[pos + i][pos + i + 1] = rows[pos + i + 1][pos + i] = -1 / e.lengths[i + 1]
         pos += k
     return RationalMatrix(tuple(tuple(r) for r in rows)), tuple(diag)
-
-
-def det_rational(rows):
-    """Exact determinant via integer scaling and Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    m = []
-    for row in rows:
-        denlcm = _ilcm(*(c.denominator for c in row)) if row else 1
-        m.append([int(c * denlcm) for c in row])
-        scale /= denlcm
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return scale * sign * m[n - 1][n - 1]
 
 
 def pencil_det(L, mass_diag):
@@ -188,10 +157,50 @@ class InterlacingCertificate:
 
 
 def interlacing_certificate(L, mass_diag):
-    """Certify lam_1 <= mu_1 <= lam_2 <= ... for the pencil and its
-    first principal submatrix pencil, by exact root comparison."""
-    full = pencil_det(L, mass_diag)
-    sub = pencil_det(L.principal_submatrix(), mass_diag[1:])
+    """Certify lam_1 <= mu_1 <= lam_2 <= ... for the pencil and its first
+    principal submatrix pencil by one signed remainder sequence of their
+    determinants.  Only where that does not certify are both isolated and
+    their roots compared, for the counts and mu_k/lambda_k failure messages."""
+    return _certify(pencil_det(L, mass_diag), pencil_det(L.principal_submatrix(), mass_diag[1:]))
+
+
+def _sequence_certifies(full, sub):
+    """Whether the signed remainder sequence of (full, sub) proves them interlaced.
+
+    An n x n pencil has lc(full) = (-1)**n * prod(m) and lc(sub) =
+    -(-1)**n * prod(m[1:]), of opposite signs for positive masses, so both
+    are made monic, which keeps their roots.  The sequence f_0 = full,
+    f_1 = sub, f_{k+1} = -rem(f_{k-1}, f_k) ends in g = gcd(full, sub), and
+    its members are g times those of F = full/g, S = sub/g.  If each degree
+    drops by one, n down to d = deg g, and each leading coefficient is
+    positive, the signs vary n - d times at -oo and never at +oo.  By
+    Sturm's theorem S/F then has Cauchy index deg F, its most: F has deg F
+    simple real roots and S/F a positive residue at each, so S changes sign
+    between them and F, S interlace strictly.  The converse holds as well
+    (Gantmacher-Krein; Holtz-Tyaglov, SIAM Rev. 54(3), 2012), and the
+    multisets interlace weakly iff g is real-rooted and F, S interlace
+    strictly (Fisk, arXiv:math/0612833).  A pseudo-remainder is lc(b)**delta
+    times the remainder and contents are positive, so the signs are exact.
+    """
+    if full.degree < 1 or sub.degree != full.degree - 1:
+        return False
+    a, b = full.monic().primitive_int(), sub.monic().primitive_int()
+    while True:
+        r, sgn = _prem_signed(a, b)
+        r = _int_primitive([-sgn * c for c in r])  # -rem(a, b) times a positive number
+        if not r:
+            break
+        if len(r) != len(b) - 1 or r[-1] < 0:
+            return False
+        a, b = b, r
+    roots = isolate_real_roots(Poly(b), None, None, classify_rational=False) if len(b) > 1 else ()
+    return sum(m for _, m in roots) == len(b) - 1
+
+
+def _certify(full, sub):
+    """The interlacing certificate of the two determinants."""
+    if _sequence_certifies(full, sub):
+        return InterlacingCertificate(True, full.degree, sub.degree, ())
     full_roots = [
         rv for rv, m in isolate_real_roots(full, None, None, classify_rational=False)
         for _ in range(m)

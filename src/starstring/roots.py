@@ -77,18 +77,9 @@ def _sturm_chain(coeffs):
     return chain
 
 
-def _variations(signs):
-    signs = [s for s in signs if s]
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
-
-
 def _variations_at(chain, x):
-    return _variations([_sign_at(c, x) for c in chain])
-
-
-def _count_open(chain, lo, hi):
-    """Number of distinct roots in the open interval; endpoints must not be roots."""
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
+    signs = [s for c in chain if (s := _sign_at(c, x))]
+    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
 
 
 def _cauchy_bound(coeffs):
@@ -288,10 +279,10 @@ class RootVal:
         gi = _int_poly_gcd(self.ints, other.ints)
         if len(gi) > 1:
             a, b = max(self.lo, other.lo), min(self.hi, other.hi)
-            if a < b:
-                chain = _sturm_chain(gi)
-                if _sign_at(gi, a) != 0 and _sign_at(gi, b) != 0 and _count_open(chain, a, b) >= 1:
-                    return 0
+            # gi divides a square-free polynomial with one root in (a, b), so
+            # a sign change there (nonzero at both ends) is the common root
+            if a < b and _sign_at(gi, a) * _sign_at(gi, b) < 0:
+                return 0
         while True:
             self._refine_once()
             other._refine_once()

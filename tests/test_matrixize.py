@@ -1,22 +1,31 @@
 """Stiffness/mass pencil: structure, determinants, interlacing."""
 
 from fractions import Fraction as F
+from math import lcm as _ilcm
 
 import pytest
 
-from starstring.errors import InvariantViolation, RequiresPositiveCentralMass
+from starstring import matrixize
+from starstring.errors import InvariantViolation, RequiresPositiveCentralMass, SchemaError
 from starstring.forward import char_polys_center
 from starstring.matrixize import (
     RationalMatrix,
+    _certify,
+    _sequence_certifies,
     build_pencil,
-    det_rational,
     interlacing_certificate,
     pencil_det,
     pencil_to_json,
 )
 from starstring.model import Edge, Root, StarGraph
-from starstring.poly import Poly
-from tests.conftest import duplicated_edge_center_graph, random_center_graph
+from starstring.poly import ONE, Poly, poly_gcd
+from starstring.roots import RootVal, isolate_real_roots
+from tests.conftest import (
+    duplicated_edge_center_graph,
+    increasing_rationals,
+    occurrences,
+    random_center_graph,
+)
 
 BEAD = Edge((F(1), F(1)), (F(1),))
 
@@ -50,6 +59,37 @@ def test_three_by_three_structure():
 def test_symmetry_violation_detected():
     m = RationalMatrix(((F(1), F(2)), (F(3), F(1))))
     assert not m.is_symmetric()
+
+
+def det_rational(rows):
+    """Exact determinant via integer scaling and Bareiss elimination: the
+    dense oracle for ``pencil_det``."""
+    n = len(rows)
+    if n == 0:
+        return F(1)
+    scale = F(1)
+    m = []
+    for row in rows:
+        denlcm = _ilcm(*(c.denominator for c in row)) if row else 1
+        m.append([int(c * denlcm) for c in row])
+        scale /= denlcm
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return F(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return scale * sign * m[n - 1][n - 1]
 
 
 def test_det_rational_small():
@@ -106,6 +146,149 @@ def test_interlacing_certificate_failures():
     assert (cert.full_count, cert.sub_count, cert.failures) == (2, 1, ("mu_1 < lambda_1",))
 
 
+def _isolate_and_compare(full, sub):
+    """The certificate JSON by isolating both determinants and comparing
+    their roots pairwise: the oracle for the remainder-sequence certificate."""
+    full_roots = occurrences(isolate_real_roots(full, None, None, classify_rational=False))
+    sub_roots = occurrences(isolate_real_roots(sub, None, None, classify_rational=False))
+    failures = []
+    if len(full_roots) != full.degree:
+        failures.append("full pencil determinant has non-real roots")
+    if len(sub_roots) != sub.degree:
+        failures.append("submatrix pencil determinant has non-real roots")
+    if not failures:
+        for k, mu in enumerate(sub_roots):
+            if k < len(full_roots) and mu.compare(full_roots[k]) < 0:
+                failures.append(f"mu_{k + 1} < lambda_{k + 1}")
+            if k + 1 < len(full_roots) and mu.compare(full_roots[k + 1]) > 0:
+                failures.append(f"mu_{k + 1} > lambda_{k + 2}")
+    return {"ok": not failures, "full_count": len(full_roots), "sub_count": len(sub_roots),
+            "failures": failures}
+
+
+def _check_against_oracle(full, sub):
+    """The sequence verdict and the whole certificate agree with the oracle;
+    returns the oracle's verdict."""
+    expect = _isolate_and_compare(full, sub)
+    if sub.degree == full.degree - 1:
+        assert _sequence_certifies(full, sub) == expect["ok"], (full, sub)
+    assert _certify(full, sub).to_json() == expect, (full, sub)
+    return expect["ok"]
+
+
+def _determinants(graph):
+    L, diag = build_pencil(graph)
+    return pencil_det(L, diag), pencil_det(L.principal_submatrix(), diag[1:])
+
+
+def test_sequence_certificate_matches_oracle_on_pencils(rng):
+    shared = 0
+    for _ in range(25):
+        g = random_center_graph(rng, q_max=4, max_masses=3, mass_choices=(1, 2, F(1, 2)))
+        assert _check_against_oracle(*_determinants(g))
+    for _ in range(25):
+        g = duplicated_edge_center_graph(rng, copies=rng.randint(2, 3), mass_choices=(1, F(3, 2)))
+        full, sub = _determinants(g)
+        assert _check_against_oracle(full, sub)
+        shared += poly_gcd(full, sub).degree >= 1
+    assert shared >= 10
+
+
+def _linear(roots, lead):
+    return Poly.from_linear_roots(roots).scale(F(lead))
+
+
+def _planted_pair(rng):
+    """(full, sub) with roots planted around a strictly interlacing pair:
+    shared real roots of multiplicity 1-3, a shared complex pair, a shared
+    irrational pair, or one root of sub moved just outside full's."""
+    n = rng.randint(1, 5)
+    grid = increasing_rationals(rng, 2 * n - 1, start=F(-12))
+    lam, mu = grid[0::2], grid[1::2]
+    full = _linear(lam, rng.choice((1, -1, F(2, 3), F(-5, 2))))
+    sub = _linear(mu, rng.choice((1, -1, F(7, 4), F(-3))))
+    kind = rng.choice(("tie", "tie", "complex", "irrational", "outside", "plain"))
+    common = ONE
+    if kind == "tie":
+        for _ in range(rng.randint(1, 2)):
+            r = rng.choice(grid + [grid[-1] + 1, grid[0] - F(1, 3)])
+            common = common * Poly([-r, 1]) ** rng.randint(1, 3)
+    elif kind == "complex":
+        c, b = rng.randint(1, 9), rng.randint(-3, 3)
+        common = Poly([c, b, 1]) if b * b < 4 * c else Poly([1, 0, 1])  # no real root
+    elif kind == "irrational":
+        common = Poly([-2, 0, 1]) ** rng.randint(1, 2)
+    elif kind == "outside" and mu:
+        k = rng.randrange(len(mu))
+        eps = F(1, 10 ** rng.randint(3, 9))
+        mu[k] = lam[k] - eps if rng.random() < 0.5 else lam[k + 1] + eps
+        sub = _linear(mu, sub.lc)
+    return full * common, sub * common
+
+
+def test_sequence_certificate_matches_oracle_on_planted_pairs(rng):
+    verdicts = {True: 0, False: 0}
+    for _ in range(120):
+        verdicts[_check_against_oracle(*_planted_pair(rng))] += 1
+    assert min(verdicts.values()) >= 20
+    # the dim-1 pencil: sub is the constant determinant of the empty matrix
+    assert _check_against_oracle(Poly([3, -2]), ONE)
+    # a shared double root on top of a root of full, and below every root
+    assert _check_against_oracle(_linear([1, 3, 3, 3], 1), _linear([2, 3, 3], -1))
+    assert _check_against_oracle(_linear([-1, -1, 0, 4], 1), _linear([-1, -1, 2], 1))
+    # sub's roots just outside full's, on either side
+    assert not _check_against_oracle(_linear([0, 1], 1), _linear([F(-1, 10 ** 9)], -1))
+    assert not _check_against_oracle(_linear([0, 1], 1), _linear([1 + F(1, 10 ** 9)], -1))
+    # a shared complex pair: every other root interlaces
+    z2p1 = Poly([1, 0, 1])
+    assert not _check_against_oracle(_linear([0, 2], 1) * z2p1, _linear([1], 1) * z2p1)
+    # degrees that do not step by one fall back to the comparison
+    assert _check_against_oracle(_linear([0, 2, 4], 1), _linear([1], 1))
+    # -rem(z^3 - z - 1, z^2 - 1) = 1: every leading coefficient is positive,
+    # but the sequence skips degree 1 (full has one real root)
+    assert not _check_against_oracle(Poly([-1, -1, 0, 1]), Poly([-1, 0, 1]))
+
+
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    """Record the polynomials matrixize isolates, and count the RootVal.compare
+    calls made outside them (isolation sorts its roots by compare)."""
+    calls = {"isolated": [], "compare": 0, "inside": False}
+    real_isolate, real_compare = matrixize.isolate_real_roots, RootVal.compare
+
+    def isolate(p, *args, **kwargs):
+        calls["isolated"].append(p)
+        calls["inside"] = True
+        try:
+            return real_isolate(p, *args, **kwargs)
+        finally:
+            calls["inside"] = False
+
+    def compare(self, other):
+        calls["compare"] += not calls["inside"]
+        return real_compare(self, other)
+
+    monkeypatch.setattr(matrixize, "isolate_real_roots", isolate)
+    monkeypatch.setattr(RootVal, "compare", compare)
+    return calls
+
+
+def test_certified_interlacing_isolates_at_most_the_gcd(rng, certificate_calls):
+    graphs = [random_center_graph(rng, q_max=4, max_masses=3, mass_choices=(1, 2))
+              for _ in range(5)]
+    graphs += [duplicated_edge_center_graph(rng, copies=3, mass_choices=(1, 2)) for _ in range(5)]
+    shared = 0
+    for g in graphs:
+        certificate_calls["isolated"].clear()
+        L, diag = build_pencil(g)
+        assert interlacing_certificate(L, diag).ok
+        gcd = poly_gcd(*_determinants(g))
+        assert [p.monic() for p in certificate_calls["isolated"]] == ([gcd] if gcd.degree else [])
+        shared += gcd.degree >= 1
+    assert shared >= 3
+    assert certificate_calls["compare"] == 0
+
+
 def test_trivially_interlaced_single_row():
     g = StarGraph(Root.CENTER, F(1), (Edge((F(1),), ()), Edge((F(1),), ())))
     L, diag = build_pencil(g)
@@ -121,6 +304,19 @@ def test_json_shape():
     assert obj["M_diag"] == ["1", "1", "1"]
     assert obj["L"][0] == ["2", "-1", "-1"]
     assert RationalMatrix.from_json(obj["L"]) == L
+
+
+@pytest.mark.parametrize("obj, where", [
+    (["12", ["3", "4"]], "matrix[0]"),  # a string row is not split into digits
+    ([5], "matrix[0]"),
+    ([["1", "2"], None], "matrix[1]"),
+    ([{"a": 1}], "matrix[0]"),
+    ([["1", "2"], ["3", True]], "matrix[1][1]"),
+])
+def test_from_json_rows_must_be_arrays(obj, where):
+    with pytest.raises(SchemaError) as err:
+        RationalMatrix.from_json(obj)
+    assert str(err.value).startswith(where + ":")
 
 
 def _pencil_at(L, diag, x):

@@ -99,6 +99,21 @@ def test_comparison_of_close_algebraics():
     assert a.compare(RootVal.rational(F(7, 5))) > 0
 
 
+def test_compare_overlapping_roots_of_polynomials_sharing_a_factor():
+    # (z^2 - 2)(z^2 - 3) and (z^2 - 2)(5z^2 - 9) share z^2 - 2; roots
+    # sqrt(2) ~ 1.414, sqrt(3) ~ 1.732 and sqrt(9/5) ~ 1.342
+    p = [6, 0, -5, 0, 1]
+    q = [18, 0, -19, 0, 5]
+    sqrt2 = RootVal(ints=p, lo=F(1), hi=F(3, 2))
+    # overlap (7/5, 3/2): z^2 - 2 changes sign there, the roots are equal
+    assert sqrt2.compare(RootVal(ints=q, lo=F(7, 5), hi=F(2))) == 0
+    assert RootVal(ints=q, lo=F(7, 5), hi=F(2)).compare(sqrt2) == 0
+    # overlap (13/10, 7/5): z^2 - 2 keeps its sign, sqrt(9/5) < sqrt(2)
+    sqrt95 = RootVal(ints=q, lo=F(13, 10), hi=F(7, 5))
+    assert sqrt95.compare(RootVal(ints=p, lo=F(1), hi=F(3, 2))) < 0
+    assert RootVal(ints=p, lo=F(1), hi=F(3, 2)).compare(sqrt95) > 0
+
+
 def test_refine_root_width():
     lo, hi = refine_root(P(-2, 0, 1), (F(1), F(2)), F(1, 1024))
     assert hi - lo <= F(1, 1024)
