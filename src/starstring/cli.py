@@ -42,6 +42,8 @@ from .poly import ONE, Poly, poly_gcd
 from .rational import format_rational, parse_rational
 
 DEFAULT_REFINE_WIDTH = Fraction(1, 1 << 64)
+# --digits bound: a fractional part converts under CPython's 4,300-digit int-to-str limit
+MAX_DIGITS = 4000
 
 
 # the siblings <stem><suffix><ext> of --out that each subcommand can write
@@ -96,31 +98,41 @@ def _read(path, what):
         raise SchemaError(f"cannot read {what} file {path}: {exc}") from exc
 
 
+def _parse_length(text, flag):
+    value = parse_rational(text, flag)
+    if value <= 0:
+        raise RangeError(f"{flag} must be > 0, got {value}")
+    return value
+
+
 def _parse_lengths(text):
     items = [s for s in text.split(",") if s.strip()]
     if not items:
         raise SchemaError("--lengths: expected a comma-separated list of rationals")
-    return [parse_rational(s.strip(), "--lengths") for s in items]
+    return [_parse_length(s.strip(), "--lengths") for s in items]
 
 
 # ---------------------------------------------------------------------------
 # spectra formatting
 
 
+def _fixed(n, digits):
+    """n / 10**digits, n >= 0, as a decimal string; its whole and fractional
+    parts convert apart, each under CPython's int-to-str digit limit."""
+    whole, frac = divmod(n, 10 ** digits)
+    return f"{whole}.{frac:0{digits}}" if digits else str(whole)
+
+
 def _decimal_sqrt(value, digits):
     """Floor of sqrt(value) with ``digits`` decimal places, as a string."""
     scaled = value * 10 ** (2 * digits)
-    root = isqrt(scaled.numerator // scaled.denominator)
-    text = str(root).rjust(digits + 1, "0")
-    return f"{text[:-digits]}.{text[-digits:]}" if digits else text
+    return _fixed(isqrt(scaled.numerator // scaled.denominator), digits)
 
 
 def _decimal_of(value, digits):
     scaled = value * 10 ** digits
     whole = scaled.numerator // scaled.denominator
-    sign = "-" if whole < 0 else ""
-    text = str(abs(whole)).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+    return ("-" if whole < 0 else "") + _fixed(abs(whole), digits)
 
 
 def _root_entry(rv, mult, width):
@@ -187,8 +199,8 @@ def _cmd_forward(args):
     args.refine_width = parse_rational(args.refine_width, "--refine-width")
     if args.refine_width <= 0:
         raise RangeError(f"--refine-width must be > 0, got {args.refine_width}")
-    if args.digits < 0:
-        raise RangeError(f"--digits must be >= 0, got {args.digits}")
+    if not 0 <= args.digits <= MAX_DIGITS:
+        raise RangeError(f"--digits must be in [0, {MAX_DIGITS}], got {args.digits}")
     graph = parse_graph(_read(args.graph, "graph"))
     phi_n, phi_d = fwd._char_polys(graph)
     neumann, dirichlet = fwd.spectrum_of(phi_n), fwd.spectrum_of(phi_d)
@@ -222,7 +234,7 @@ def _cmd_inverse_center(args):
 def _cmd_inverse_pendant(args):
     spectra = parse_spectra(_read(args.spectra, "spectra"))
     lengths = _parse_lengths(args.lengths)
-    main_length = parse_rational(args.main_length, "--main-length")
+    main_length = _parse_length(args.main_length, "--main-length")
     plan = parse_plan(_read(args.plan, "plan")) if args.plan else None
     report = ip.validate_pendant(spectra, main_length, lengths)
     if not report.valid:
@@ -260,7 +272,7 @@ def _cmd_validate(args):
     else:
         if args.main_length is None:
             raise SchemaError("--main-length is required for pendant validation")
-        main_length = parse_rational(args.main_length, "--main-length")
+        main_length = _parse_length(args.main_length, "--main-length")
         report = ip.validate_pendant(spectra, main_length, lengths)
     _write(args, "", _dump(report.to_json()))
     return 0 if report.valid else 2
@@ -298,7 +310,7 @@ def _roundtrip_graph(graph):
 
 def _roundtrip_spectra(args, spectra, lengths):
     if args.root == "pendant":
-        main_length = parse_rational(args.main_length, "--main-length")
+        main_length = _parse_length(args.main_length, "--main-length")
         rec = ip.reconstruct_pendant(spectra, main_length, lengths)
     else:
         rec = ic.reconstruct_center(spectra, lengths)
@@ -356,7 +368,7 @@ def _build_parser():
     p.add_argument("--as-frequencies", action="store_true",
                    help="emit +-sqrt(z) decimals instead of exact squared values")
     p.add_argument("--digits", type=int, default=0,
-                   help="decimal output with this many places, >= 0 (approximate)")
+                   help=f"decimal output with this many places, 0-{MAX_DIGITS} (approximate)")
     p.add_argument("--refine-width", default=DEFAULT_REFINE_WIDTH,
                    help="interval refinement width for irrational roots, > 0")
     common_output(p)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, RequiresPositiveCentralMass, SchemaError
 from .model import Root
-from .poly import ONE, Poly, _int_primitive, _prem_signed
+from .poly import ONE, Poly, _sturm_sequence
 from .rational import format_rational, parse_rational
 from .roots import isolate_real_roots
 
@@ -167,34 +167,29 @@ def interlacing_certificate(L, mass_diag):
 def _sequence_certifies(full, sub):
     """Whether the signed remainder sequence of (full, sub) proves them interlaced.
 
-    An n x n pencil has lc(full) = (-1)**n * prod(m) and lc(sub) =
-    -(-1)**n * prod(m[1:]), of opposite signs for positive masses, so both
-    are made monic, which keeps their roots.  The sequence f_0 = full,
-    f_1 = sub, f_{k+1} = -rem(f_{k-1}, f_k) ends in g = gcd(full, sub), and
-    its members are g times those of F = full/g, S = sub/g.  If each degree
-    drops by one, n down to d = deg g, and each leading coefficient is
-    positive, the signs vary n - d times at -oo and never at +oo.  By
-    Sturm's theorem S/F then has Cauchy index deg F, its most: F has deg F
-    simple real roots and S/F a positive residue at each, so S changes sign
-    between them and F, S interlace strictly.  The converse holds as well
-    (Gantmacher-Krein; Holtz-Tyaglov, SIAM Rev. 54(3), 2012), and the
-    multisets interlace weakly iff g is real-rooted and F, S interlace
-    strictly (Fisk, arXiv:math/0612833).  A pseudo-remainder is lc(b)**delta
-    times the remainder and contents are positive, so the signs are exact.
+    The sequence is ``poly._sturm_sequence``: f_0 = full, f_1 = sub, each
+    with a positive leading coefficient (an n x n pencil has lc(full) =
+    (-1)**n * prod(m) and lc(sub) = -(-1)**n * prod(m[1:]), of opposite
+    signs, and the sign does not move a root), then f_{k+1} = -rem(f_{k-1},
+    f_k) times a positive number, ending in g = gcd(full, sub).  Its members
+    are g times those of F = full/g, S = sub/g.  If each degree drops by
+    one, n down to d = deg g, and each leading coefficient is positive, the
+    signs vary n - d times at -oo and never at +oo.  By Sturm's theorem S/F
+    then has Cauchy index deg F, its most: F has deg F simple real roots and
+    S/F a positive residue at each, so S changes sign between them and F, S
+    interlace strictly.  The converse holds as well (Gantmacher-Krein;
+    Holtz-Tyaglov, SIAM Rev. 54(3), 2012), and the multisets interlace
+    weakly iff g is real-rooted and F, S interlace strictly (Fisk,
+    arXiv:math/0612833).
     """
     if full.degree < 1 or sub.degree != full.degree - 1:
         return False
-    a, b = full.monic().primitive_int(), sub.monic().primitive_int()
-    while True:
-        r, sgn = _prem_signed(a, b)
-        r = _int_primitive([-sgn * c for c in r])  # -rem(a, b) times a positive number
-        if not r:
-            break
-        if len(r) != len(b) - 1 or r[-1] < 0:
-            return False
-        a, b = b, r
-    roots = isolate_real_roots(Poly(b), None, None, classify_rational=False) if len(b) > 1 else ()
-    return sum(m for _, m in roots) == len(b) - 1
+    seq = _sturm_sequence(full.primitive_int(), sub.primitive_int())
+    if any(len(b) != len(a) - 1 or b[-1] < 0 for a, b in zip(seq, seq[1:])):
+        return False
+    g = seq[-1]
+    roots = isolate_real_roots(Poly(g), None, None, classify_rational=False) if len(g) > 1 else ()
+    return sum(m for _, m in roots) == len(g) - 1
 
 
 def _certify(full, sub):

@@ -4,10 +4,12 @@ Coefficients are stored lowest degree first; the zero polynomial is the
 empty tuple.  All arithmetic is exact.  Degrees stay at desk scale
 (<= ~60), so the dense representation is the simple and sufficient choice.
 
-Gcds run in integers: both operands are cleared of denominators and
-content (``Poly.primitive_int``) and reduced by the primitive
-pseudo-remainder sequence ``_int_poly_gcd`` (Collins 1967, Brown 1971).
-The integer-list helpers here are also the kernel of ``roots``.
+Gcds run in integers: operands cleared of denominators and content
+(``Poly.primitive_int``) go through ``_sturm_sequence``, the primitive
+signed pseudo-remainder sequence (Collins 1967, Brown 1971) and the one
+remainder loop: its last member is the gcd, on (f, f') it is the Sturm
+chain of ``roots``, and on two pencil determinants it is ``matrixize``'s
+interlacing certificate.
 """
 
 from __future__ import annotations
@@ -210,51 +212,58 @@ def _int_primitive(coeffs):
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
-    if not cs:
-        return []
-    g = 0
-    for c in cs:
-        g = _igcd(g, abs(c))
-    return [c // g for c in cs]
+    g = _igcd(*cs)
+    return [c // g for c in cs] if g else []
+
+
+def _positive(coeffs):
+    """The polynomial or its negative, whichever has a positive leading coefficient."""
+    return [-c for c in coeffs] if coeffs and coeffs[-1] < 0 else coeffs
 
 
 def _prem_signed(a, b):
-    """Pseudo-remainder r with lc(b)**d * a = q*b + r, and the sign of lc(b)**d."""
-    da, db = len(a) - 1, len(b) - 1
-    delta = da - db + 1
-    lcb = b[-1]
+    """Pseudo-remainder r with lc(b)**s * a = q*b + r, s the number of
+    reduction steps, and the sign of lc(b)**s."""
+    db, lcb = len(b) - 1, b[-1]
     r = list(a)
     steps = 0
     while True:
         while r and r[-1] == 0:
             r.pop()
-        dr = len(r) - 1
-        if not r or dr < db:
+        e = len(r) - 1 - db
+        if e < 0:
             break
         head = r[-1]
-        e = dr - db
         r = [lcb * c for c in r]
         for j, cb in enumerate(b):
             r[e + j] -= head * cb
         steps += 1
-    if delta > steps:
-        f = lcb ** (delta - steps)
-        r = [f * c for c in r]
-    sgn = 1 if (lcb > 0 or delta % 2 == 0) else -1
-    return r, sgn
+    return r, 1 if lcb > 0 or steps % 2 == 0 else -1
+
+
+def _sturm_sequence(a, b):
+    """The primitive signed remainder sequence of integer polynomials a, b.
+
+    Its members are a and b, primitive with positive leading coefficients,
+    then f_{k+1} = -rem(f_{k-1}, f_k) times a positive number, primitive.
+    It stops after a constant member or a zero remainder, so its last
+    member is gcd(a, b) up to sign; b = 0 gives [a].
+    """
+    a, b = _positive(_int_primitive(a)), _positive(_int_primitive(b))
+    seq = [a]
+    while b:
+        seq.append(b)
+        if len(b) == 1:
+            break
+        r, sgn = _prem_signed(seq[-2], b)
+        b = _int_primitive(r if sgn < 0 else [-c for c in r])
+    return seq
 
 
 def _int_poly_gcd(a, b):
-    """Primitive gcd of integer polynomials via pseudo-remainders."""
-    a, b = _int_primitive(a), _int_primitive(b)
-    while b:
-        if len(b) == 1:
-            return [1]
-        r, _ = _prem_signed(a, b)
-        a, b = b, _int_primitive(r)
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
+    """Primitive gcd of integer polynomials, with a positive leading coefficient."""
+    g = _sturm_sequence(a, b)[-1]
+    return [1] if len(g) == 1 else _positive(g)
 
 
 def poly_gcd(p, q):

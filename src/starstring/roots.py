@@ -1,11 +1,12 @@
 """Exact real-root isolation and comparison.
 
 Roots of rational polynomials are located with Sturm sequences computed on
-the square-free part, in integer arithmetic with the primitive
-pseudo-remainders of ``poly``'s kernel, so coefficient growth stays tame.
-This module adds only evaluation, Sturm chains, refinement and the
-rational-root search.  Each root that is not hit exactly comes out as an
-isolating interval (lo, hi) of a square-free integer polynomial.
+the square-free part: the Sturm chain of f is ``poly``'s primitive signed
+remainder sequence of (f, f'), in integers, so coefficient growth stays
+tame.  This module adds only evaluation, the bisection that counts sign
+variations along that chain, refinement and the rational-root search.
+Each root that is not hit exactly comes out as an isolating interval
+(lo, hi) of a square-free integer polynomial.
 
 All refinement runs on one integer kernel, ``_bisect``.  It walks dyadic
 points y = k/2**e of the interval's own coordinate, x = lo + (hi - lo)*y,
@@ -30,12 +31,10 @@ from functools import cmp_to_key
 from math import isqrt
 
 from .errors import DivisionByZero, NotIsolating, RangeError
-from .poly import (
-    Poly, _int_poly_gcd, _int_primitive, _prem_signed, squarefree_factor, squarefree_part,
-)
+from .poly import Poly, _int_poly_gcd, _sturm_sequence, squarefree_factor, squarefree_part
 
 # ---------------------------------------------------------------------------
-# evaluation and Sturm chains
+# evaluation
 
 
 def _sign_at(coeffs, x):
@@ -59,22 +58,6 @@ def _value(coeffs, p, q):
         qpow *= q
         acc = acc * p + coeffs[i] * qpow
     return acc
-
-
-def _sturm_chain(coeffs):
-    chain = [_int_primitive(coeffs)]
-    d = _int_primitive([i * c for i, c in enumerate(chain[0])][1:])
-    if d:
-        chain.append(d)
-    while len(chain[-1]) > 1:
-        r, sgn = _prem_signed(chain[-2], chain[-1])
-        r = _int_primitive(r)
-        if not r:
-            break
-        if sgn > 0:
-            r = [-c for c in r]
-        chain.append(r)
-    return chain
 
 
 def _variations_at(chain, x):
@@ -369,7 +352,7 @@ def _isolate_squarefree(ints, lo, hi):
     Endpoints must not be roots.  Yields exact rationals and isolating
     intervals, ascending.
     """
-    chain = _sturm_chain(ints)
+    chain = _sturm_sequence(ints, [i * c for i, c in enumerate(ints)][1:])
     out = []
     stack = [(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))]
     while stack:

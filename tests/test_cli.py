@@ -254,7 +254,26 @@ def test_frequency_output(tmp_path):
     assert got["neumann_frequencies"] == ["-1.4142", "1.4142"]
 
 
-@pytest.mark.parametrize("flag", [["--refine-width", "0"], ["--refine-width=-1/2"], ["--digits=-3"]])
+@pytest.mark.parametrize("frequencies", [[], ["--as-frequencies"]])
+def test_digits_at_the_bound_print_a_large_value(tmp_path, frequencies):
+    # eigenvalues near 2e700, frequencies near 1.4e350: with 4,000 places
+    # either exceeds 4,300 digits
+    graph = write(tmp_path / "g.json", {
+        "root": "center", "central_mass": "1",
+        "edges": [{"lengths": ["1", "1"], "masses": ["1e-700"]}, {"lengths": ["1"], "masses": []}],
+    })
+    out = tmp_path / "f.json"
+    assert main(["forward", "--graph", graph, "--out", str(out), "--digits", "4000", *frequencies]) == 0
+    got = json.loads(out.read_text())
+    entries = [v for vs in got.values() if isinstance(vs, list) for v in vs]
+    values = [v["value"] if isinstance(v, dict) else v for v in entries]
+    assert values and all(len(v.split(".")[1]) == 4000 for v in values)
+    assert max(len(v) for v in values) > 4300
+
+
+@pytest.mark.parametrize("flag", [
+    ["--refine-width", "0"], ["--refine-width=-1/2"], ["--digits=-3"], ["--digits=4001"],
+])
 def test_forward_rejects_out_of_range_options(tmp_path, capsys, flag):
     # the graph has irrational eigenvalues, so a zero width would be refined
     graph = write(tmp_path / "g.json", {
@@ -266,6 +285,25 @@ def test_forward_rejects_out_of_range_options(tmp_path, capsys, flag):
     })
     out = tmp_path / "s.json"
     assert main(["forward", "--graph", graph, "--out", str(out), *flag]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "E_RANGE"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["inverse-center", "--lengths", "0,1"],
+    ["inverse-center", "--lengths=-1,1"],
+    ["inverse-pendant", "--lengths", "0", "--main-length", "1"],
+    ["inverse-pendant", "--lengths", "2,1", "--main-length", "0"],
+    ["validate", "--lengths", "0,1"],
+    ["validate", "--root", "pendant", "--lengths", "2,1", "--main-length=-2"],
+    ["verify-roundtrip", "--lengths", "0,1"],
+    ["verify-roundtrip", "--root", "pendant", "--lengths", "2,1", "--main-length", "0"],
+])
+def test_lengths_must_be_positive(ex_files, capsys, argv):
+    tmp, spectra, _ = ex_files
+    out = tmp / "o.json"
+    assert main([*argv, "--spectra", spectra, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "E_RANGE"
     assert not out.exists()

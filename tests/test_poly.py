@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starstring.errors import DivisionByZero
-from starstring.poly import ONE, Poly, ZERO, poly_gcd, squarefree_factor, squarefree_part
+from starstring.poly import (
+    ONE, Poly, ZERO, _sturm_sequence, poly_gcd, squarefree_factor, squarefree_part,
+)
 
 
 def P(*coeffs):
@@ -189,3 +191,81 @@ def test_gcd_and_squarefree_against_sympy():
         expect = sorted((m, _from_sympy(f.monic()).coeffs) for f, m in expect)
         got = sorted((m, f.coeffs) for f, m in squarefree_factor(p))
         assert got == expect
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_ints(rng, degree, bits):
+    """A dense random integer polynomial with coefficients of up to ``bits``
+    bits or of at most 2 in size (whose remainder sequences often skip a
+    degree), or a product of linear factors q*z - p and positive quadratics,
+    so real roots are plentiful."""
+    kind = rng.randrange(3)
+    if kind < 2:
+        size = 1 << bits if kind else 2
+        lead = 0
+        while lead == 0:
+            lead = rng.randint(-size, size)
+        return [rng.randint(-size, size) for _ in range(degree)] + [lead]
+    out = [rng.choice((-1, 1)) * rng.randint(1, 1 << bits)]
+    while len(out) <= degree:
+        if rng.random() < 0.25 and len(out) < degree:
+            out = _int_mul(out, [rng.randint(1, 50), 0, 1])
+        else:
+            out = _int_mul(out, [-rng.randint(-60, 60), rng.randint(1, 9)])
+    return out
+
+
+def _variations_at_infinity(seq, side):
+    """Sign variations of the sequence at +oo (side 1) or -oo (side -1)."""
+    signs = [(c[-1] > 0) == (side > 0 or len(c) % 2 == 1) for c in seq if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def test_sturm_sequence_against_sympy():
+    """The kernel's remainder sequence: its last member is the gcd, on
+    (f, f') it counts real roots, and its degrees fall."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261019)
+
+    def to_sympy(c):
+        return sympy.Poly(list(reversed(c)) or [0], x, domain="ZZ")
+
+    pairs = []
+    for _ in range(60):
+        a = _random_ints(rng, rng.randint(0, 9), rng.randint(2, 64))
+        b = _random_ints(rng, rng.randint(0, 9), rng.randint(2, 64))
+        pairs.append((a, b))
+        g = _random_ints(rng, rng.randint(1, 3), rng.randint(2, 16))
+        planted = _int_mul(_int_mul(a, g), g)
+        pairs.append((planted, _int_mul(b, g)))
+        pairs.append((planted, [i * c for i, c in enumerate(planted)][1:]))
+    pairs += [([-6], [1, 2, 3]), ([1, 2, 3], [4]), ([], [3, -1]), ([-7, 0, 2], []), ([5], [])]
+    square_free = 0
+    for a, b in pairs:
+        seq = _sturm_sequence(a, b)
+        expect = to_sympy(a).gcd(to_sympy(b)).primitive()[1].all_coeffs()[::-1]
+        assert seq[-1] in (expect, [-c for c in expect]), (a, b)
+        # the operands come in either order; from b on each degree falls
+        assert all(len(q) < len(p) for p, q in zip(seq[1:], seq[2:])), (a, b)
+        f = to_sympy(a)
+        if f.degree() >= 1 and f.gcd(f.diff(x)).degree() == 0:
+            square_free += 1
+            chain = _sturm_sequence(a, [i * c for i, c in enumerate(a)][1:])
+            count = _variations_at_infinity(chain, -1) - _variations_at_infinity(chain, 1)
+            assert count == f.count_roots(), a
+            # member for member a positive multiple of the classical sequence
+            classical = (f if f.LC() > 0 else -f).to_field().sturm()
+            assert len(chain) == len(classical), a
+            for c, q in zip(chain, classical):
+                q = q.all_coeffs()[::-1]
+                assert all(ci * q[-1] == qi * c[-1] for ci, qi in zip(c, q)), a
+                assert (c[-1] > 0) == (q[-1] > 0), a
+    assert square_free >= 40

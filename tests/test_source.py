@@ -38,3 +38,21 @@ def test_module_level_imports_are_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_remainder_sequence_helpers_stay_in_poly():
+    """``poly._sturm_sequence`` is the one remainder-sequence loop: no other
+    module builds its own from the pseudo-remainder and content helpers."""
+    private = {"_prem_signed", "_int_primitive"}
+    paths = sorted(Path(starstring.__file__).parent.glob("*.py"))
+    found = []
+    for path in paths:
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in private]
+    assert found == []
