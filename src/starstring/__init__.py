@@ -7,7 +7,6 @@ from .errors import (
     InvariantViolation,
     IrrationalPole,
     MainTooLong,
-    NotIsolating,
     NotStieltjes,
     PlanInfeasible,
     RangeError,
@@ -68,7 +67,7 @@ from .model import (
     serialize_plan,
     serialize_spectra,
 )
-from .poly import Poly, poly_gcd, squarefree_factor, squarefree_part
+from .poly import Poly, poly_gcd, squarefree_factor
 from .rational import Rational, format_rational, parse_rational
 from .ratfun import (
     PartialFractions,
@@ -80,6 +79,6 @@ from .ratfun import (
     partial_fractions,
     validate_s0,
 )
-from .roots import RootVal, isolate_real_roots, refine_root
+from .roots import RootVal, isolate_real_roots
 
 __version__ = "0.1.0"

@@ -106,10 +106,10 @@ def _parse_length(text, flag):
 
 
 def _parse_lengths(text):
-    items = [s for s in text.split(",") if s.strip()]
-    if not items:
+    items = [s.strip() for s in text.split(",")]
+    if not all(items):
         raise SchemaError("--lengths: expected a comma-separated list of rationals")
-    return [_parse_length(s.strip(), "--lengths") for s in items]
+    return [_parse_length(s, "--lengths") for s in items]
 
 
 # ---------------------------------------------------------------------------
@@ -117,22 +117,36 @@ def _parse_lengths(text):
 
 
 def _fixed(n, digits):
-    """n / 10**digits, n >= 0, as a decimal string; its whole and fractional
-    parts convert apart, each under CPython's int-to-str digit limit."""
-    whole, frac = divmod(n, 10 ** digits)
-    return f"{whole}.{frac:0{digits}}" if digits else str(whole)
+    """n / 10**digits as a decimal string; its whole and fractional parts
+    convert apart, each under CPython's int-to-str digit limit."""
+    sign = "-" if n < 0 else ""
+    whole, frac = divmod(abs(n), 10 ** digits)
+    return f"{sign}{whole}.{frac:0{digits}}" if digits else f"{sign}{whole}"
 
 
-def _decimal_sqrt(value, digits):
-    """Floor of sqrt(value) with ``digits`` decimal places, as a string."""
-    scaled = value * 10 ** (2 * digits)
-    return _fixed(isqrt(scaled.numerator // scaled.denominator), digits)
+def _floor_of(value, digits):
+    """Floor of value * 10**digits."""
+    return value.numerator * 10 ** digits // value.denominator
 
 
-def _decimal_of(value, digits):
-    scaled = value * 10 ** digits
-    whole = scaled.numerator // scaled.denominator
-    return ("-" if whole < 0 else "") + _fixed(abs(whole), digits)
+def _floor_of_sqrt(value, digits):
+    """Floor of sqrt(value) * 10**digits."""
+    return isqrt(_floor_of(value, 2 * digits))
+
+
+def _decimal(rv, digits, floor):
+    """The root's exact ``floor`` at ``digits`` places, as a decimal string.
+
+    The interval is refined until both its ends lie in one decimal cell;
+    that ends, because a root that classification leaves irrational, and
+    its square root, are never decimals.  A root close to a cell's edge
+    takes as many more bits as its distance needs, doubling the step.
+    """
+    width, step = Fraction(1, 10 ** digits), 1
+    while (cell := floor(rv.bounds()[0], digits)) != floor(rv.bounds()[1], digits):
+        rv.refine_to_width(width)
+        width, step = width / (1 << step), 2 * step
+    return _fixed(cell, digits)
 
 
 def _root_entry(rv, mult, width):
@@ -143,44 +157,27 @@ def _root_entry(rv, mult, width):
     return {"interval": [format_rational(lo), format_rational(hi)], "mult": mult}
 
 
-def _midpoint(rv, width):
-    if rv.is_rational:
-        return rv.rat
-    rv.refine_to_width(width)
-    lo, hi = rv.bounds()
-    return (lo + hi) / 2
-
-
 def _spectra_json(neumann, dirichlet, args):
-    width = args.refine_width
     if args.as_frequencies:
         digits = args.digits or 12
         out = {"approximate": True, "digits": digits}
         for key, roots in (("neumann_frequencies", neumann), ("dirichlet_frequencies", dirichlet)):
-            freqs = []
-            for rv, mult in reversed(roots):
-                r = _decimal_sqrt(_midpoint(rv, width), digits)
-                for _ in range(mult):
-                    freqs.append("-" + r)
-            for rv, mult in roots:
-                r = _decimal_sqrt(_midpoint(rv, width), digits)
-                for _ in range(mult):
-                    freqs.append(r)
-            out[key] = freqs
+            freqs = [(_decimal(rv, digits, _floor_of_sqrt), m) for rv, m in roots]
+            out[key] = ([f"-{r}" for r, m in reversed(freqs) for _ in range(m)]
+                        + [r for r, m in freqs for _ in range(m)])
         return out
     if args.digits:
         return {
             "approximate": True,
             "digits": args.digits,
             "neumann_squared": [
-                {"value": _decimal_of(_midpoint(rv, width), args.digits), "mult": m}
-                for rv, m in neumann
+                {"value": _decimal(rv, args.digits, _floor_of), "mult": m} for rv, m in neumann
             ],
             "dirichlet_squared": [
-                {"value": _decimal_of(_midpoint(rv, width), args.digits), "mult": m}
-                for rv, m in dirichlet
+                {"value": _decimal(rv, args.digits, _floor_of), "mult": m} for rv, m in dirichlet
             ],
         }
+    width = args.refine_width
     return {
         "neumann_squared": [_root_entry(rv, m, width) for rv, m in neumann],
         "dirichlet_squared": [_root_entry(rv, m, width) for rv, m in dirichlet],
@@ -227,7 +224,7 @@ def _cmd_inverse_center(args):
     plan_out["reusable_plan"] = rec.plan_used.as_plan().to_json()
     _write(args, ".plan", _dump(plan_out))
     if args.enumerate:
-        _write(args, ".constraints", _dump(ic.enumerate_constraints(spectra, lengths, plan, rec)))
+        _write(args, ".constraints", _dump(ic.enumerate_constraints(spectra, lengths, rec)))
     return 0
 
 

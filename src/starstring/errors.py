@@ -55,9 +55,5 @@ class MainTooLong(StarStringError):
     code = "E_MAIN_TOO_LONG"
 
 
-class NotIsolating(StarStringError):
-    code = "E_NOT_ISOLATING"
-
-
 class RequiresPositiveCentralMass(StarStringError):
     code = "E_REQUIRES_POSITIVE_M"

@@ -22,13 +22,14 @@ from math import comb
 
 from .errors import InvariantViolation, PlanInfeasible
 from .model import Edge, ReconstructionPlan, Root, StarGraph
-from .poly import ONE, Poly, ZERO
+from .poly import Poly
 from .rational import format_rational
 from .ratfun import (
     RationalFunction,
     cf_expand,
     partial_fractions_at,
     split_proper_by_factors,
+    _pole_sum,
     _polynomial_part,
 )
 
@@ -190,18 +191,14 @@ class ConcretePlan:
         )
 
 
-def plan_partition(spectra, q, plan=None):
-    """Resolve the (possibly partial) user plan into a concrete assignment.
+def plan_partition(distinct, q, plan=None):
+    """Resolve the (possibly partial) user plan over the poles ``distinct``,
+    ((value, multiplicity), ...) ascending, into a concrete assignment.
 
     Default: occurrences of each value go to the least-loaded edges (ties
     by index), residues are split equally.  A user partition and/or residue
     split overrides; infeasible requests raise PlanInfeasible.
     """
-    return plan_partition_distinct(spectra.dirichlet_sq, q, plan)
-
-
-def plan_partition_distinct(distinct, q, plan=None):
-    """Plan resolution over an explicit ((value, multiplicity), ...) tuple."""
     user_partition = plan.partition if plan is not None else None
     if user_partition is not None and len(user_partition) != len(distinct):
         raise PlanInfeasible(
@@ -249,9 +246,7 @@ def plan_partition_distinct(distinct, q, plan=None):
 
 @dataclass(frozen=True)
 class CenterReconstruction:
-    graph: StarGraph | None  # None for the internal single-string case
-    central_mass: Fraction
-    edges: tuple
+    graph: StarGraph
     plan_used: ConcretePlan
     psi: RationalFunction
     residues: tuple  # ((pole, total residue), ...)
@@ -268,16 +263,6 @@ def _edge_from_summand(num, den, length):
     return edge
 
 
-def _pole_sum(terms):
-    """(n, d) with n/d = sum r/(z - v) over ``terms`` ((v, r), ...) with
-    distinct v and nonzero r: d is monic, and the pair is coprime."""
-    n, d = ZERO, ONE
-    for v, r in terms:
-        lin = Poly([-v, 1])
-        n, d = n * lin + d.scale(r), d * lin
-    return n, d
-
-
 def _edge_summands(cplan, residue_of, q):
     """Each edge's proper summand (n, d): its shares of the residues of its poles."""
     per_edge = [[] for _ in range(q)]
@@ -288,10 +273,10 @@ def _edge_summands(cplan, residue_of, q):
     return [_pole_sum(sorted(terms)) for terms in per_edge]
 
 
-def reconstruct_center(spectra, lengths, plan=None, validate=True, allow_single=False):
+def reconstruct_center(spectra, lengths, plan=None, validate=True):
     """Recover a centre-rooted star graph realizing the given spectra."""
     q = len(lengths)
-    if q < (1 if allow_single else 2):
+    if q < 2:
         raise InvariantViolation("need at least two string lengths")
     if validate:
         report = validate_center(spectra, q)
@@ -302,11 +287,11 @@ def reconstruct_center(spectra, lengths, plan=None, validate=True, allow_single=
     psi = build_psi(spectra, lengths)
     poles = [v for v, _ in spectra.dirichlet_sq]
     pf = partial_fractions_at(psi, poles)
-    cplan = plan_partition(spectra, q, plan)
+    cplan = plan_partition(spectra.dirichlet_sq, q, plan)
     summands = _edge_summands(cplan, dict(pf.terms), q)
     edges = [_edge_from_summand(n, d, l) for (n, d), l in zip(summands, lengths)]
-    graph = StarGraph(Root.CENTER, pf.linear_coeff, tuple(edges)) if q >= 2 else None
-    return CenterReconstruction(graph, pf.linear_coeff, tuple(edges), cplan, psi, pf.terms)
+    graph = StarGraph(Root.CENTER, pf.linear_coeff, tuple(edges))
+    return CenterReconstruction(graph, cplan, psi, pf.terms)
 
 
 def reconstruct_center_grouped(psi, factors, lengths):
@@ -328,16 +313,14 @@ def reconstruct_center_grouped(psi, factors, lengths):
     return StarGraph(Root.CENTER, a0, tuple(edges))
 
 
-def enumerate_constraints(spectra, lengths, plan=None, rec=None):
+def enumerate_constraints(spectra, lengths, rec):
     """Describe the solution family: per-pole residue simplices and the
     combinatorial count of feasible occurrence partitions.
 
-    ``rec``, a CenterReconstruction of the same data and plan, supplies the
-    residues, central mass and plan; without it the data are reconstructed.
+    ``rec``, the CenterReconstruction of the same data, supplies the
+    residues, central mass and plan used.
     """
     q = len(lengths)
-    if rec is None:
-        rec = reconstruct_center(spectra, lengths, plan)
     residue_of = dict(rec.residues)
     partition_count = 1
     poles = []
@@ -351,7 +334,7 @@ def enumerate_constraints(spectra, lengths, plan=None, rec=None):
             "constraint": "shares positive, summing to the total residue",
         })
     return {
-        "central_mass": format_rational(rec.central_mass),
+        "central_mass": format_rational(rec.graph.central_mass),
         "poles": poles,
         "feasible_partitions": partition_count,
         "partition_used": [list(a.edges) for a in rec.plan_used.assignments],

@@ -23,10 +23,9 @@ from .inverse_center import (
     _common_values,
     _edge_from_summand,
     _edge_summands,
-    _pole_sum,
     _spectral_quotient,
     _sum_reciprocal,
-    plan_partition_distinct,
+    plan_partition,
     validate_center,
 )
 from .model import Edge, Root, SpectrumPair, StarGraph
@@ -36,7 +35,9 @@ from .ratfun import (
     StieltjesCF,
     cf_expand,
     cf_to_ratfun,
+    _pole_sum,
     _polynomial_part,
+    _residues,
 )
 from .roots import isolate_real_roots
 
@@ -215,14 +216,13 @@ def _subgraph_edges(psi_sub, lengths, common_zeros, plan):
         )
     common = dict(common_zeros)
     occurrences = tuple((v, 1 + common.get(v, 0)) for v in rational_poles)
-    dden = den.derivative()
-    residue_of = {v: proper.num.eval(v) / dden.eval(v) for v in rational_poles}
-    cplan = plan_partition_distinct(occurrences, q, plan)
-    summands = _edge_summands(cplan, residue_of, q)
+    residues = _residues(proper, rational_poles)
+    cplan = plan_partition(occurrences, q, plan)
+    summands = _edge_summands(cplan, dict(residues), q)
     if leftover.degree > 0:
         # proper - R/L = S/leftover has exactly the cluster's poles, so S is
         # coprime to leftover, and n*leftover + S*d to d*leftover below
-        rat_num, rat_den = _pole_sum(sorted(residue_of.items()))
+        rat_num, rat_den = _pole_sum(residues)
         cluster_num, rem = divmod(proper.num - rat_num * leftover, rat_den)
         if not rem.is_zero:
             raise InvariantViolation("pole cluster extraction mismatch")

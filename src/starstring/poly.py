@@ -316,11 +316,3 @@ def squarefree_factor(p):
         d = d.divexact(s) - c.derivative()
         i += 1
     return out
-
-
-def squarefree_part(p):
-    """Product of the distinct irreducible factors of p, monic."""
-    part = ONE
-    for f, _ in squarefree_factor(p):
-        part = part * f
-    return part.monic() if not part.is_zero else part

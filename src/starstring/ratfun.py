@@ -359,10 +359,9 @@ class PartialFractions:
     constant: Fraction
 
     def reassemble(self):
-        f = RationalFunction(Poly([self.constant, -self.linear_coeff]), ONE)
-        for pole, residue in self.terms:
-            f = f + RationalFunction(Poly.constant(residue), Poly([-pole, 1]))
-        return f
+        # n/d is coprime, so is n + d*(B - A0*z) over d
+        n, d = _pole_sum(self.terms)
+        return RationalFunction.from_coprime(n + d * Poly([self.constant, -self.linear_coeff]), d)
 
     def to_json(self):
         return {
@@ -389,6 +388,29 @@ def _polynomial_part(f):
     return a0, const, proper
 
 
+def _pole_sum(terms):
+    """(n, d) with n/d = sum r/(z - v) over ``terms`` ((v, r), ...) with
+    distinct v and nonzero r: d is monic, and the pair is coprime."""
+    n, d = ZERO, ONE
+    for v, r in terms:
+        lin = Poly([-v, 1])
+        n, d = n * lin + d.scale(r), d * lin
+    return n, d
+
+
+def _residues(proper, poles):
+    """((pole, residue), ...) of the proper num/den at its simple rational
+    ``poles``, ascending; every residue num(v)/den'(v) must be positive."""
+    dden = proper.den.derivative()
+    pairs = []
+    for pole in poles:
+        residue = proper.num.eval(pole) / dden.eval(pole)
+        if residue <= 0:
+            raise BadShape(f"nonpositive residue {residue} at pole {pole}")
+        pairs.append((Fraction(pole), residue))
+    return tuple(sorted(pairs))
+
+
 def partial_fractions(f):
     """Exact partial fractions of f = -A0*z + sum A_i/(z - pole_i) + B.
 
@@ -397,12 +419,10 @@ def partial_fractions(f):
     """
     a0, const, proper = _polynomial_part(f)
     den = proper.den
-    pairs = []
+    poles = []
     if den.degree > 0:
-        dden = den.derivative()
         roots = isolate_real_roots(den, None, None)
-        total = sum(m for _, m in roots)
-        if total != den.degree:
+        if sum(m for _, m in roots) != den.degree:
             raise IrrationalPole("denominator has non-real poles")
         for rv, mult in roots:
             if mult > 1:
@@ -410,13 +430,8 @@ def partial_fractions(f):
             if not rv.is_rational:
                 lo, hi = rv.bounds()
                 raise IrrationalPole(f"irrational pole in ({lo}, {hi})")
-            pole = rv.rat
-            residue = proper.num.eval(pole) / dden.eval(pole)
-            if residue <= 0:
-                raise BadShape(f"nonpositive residue {residue} at pole {pole}")
-            pairs.append((pole, residue))
-    pairs.sort()
-    pf = PartialFractions(a0, tuple(pairs), const)
+            poles.append(rv.rat)
+    pf = PartialFractions(a0, _residues(proper, poles), const)
     if pf.reassemble() != f:
         raise BadShape("partial fraction reassembly mismatch")
     return pf
@@ -425,19 +440,9 @@ def partial_fractions(f):
 def partial_fractions_at(f, poles):
     """Partial fractions when the simple rational poles are already known."""
     a0, const, proper = _polynomial_part(f)
-    den = proper.den
-    expected = Poly.from_linear_roots(poles)
-    if expected != den:
+    if Poly.from_linear_roots(poles) != proper.den:
         raise BadShape("declared poles do not match the reduced denominator")
-    dden = den.derivative()
-    pairs = []
-    for pole in poles:
-        residue = proper.num.eval(pole) / dden.eval(pole)
-        if residue <= 0:
-            raise BadShape(f"nonpositive residue {residue} at pole {pole}")
-        pairs.append((Fraction(pole), residue))
-    pairs.sort()
-    return PartialFractions(a0, tuple(pairs), const)
+    return PartialFractions(a0, _residues(proper, poles), const)
 
 
 def split_proper_by_factors(proper, factors):

@@ -30,8 +30,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import isqrt
 
-from .errors import DivisionByZero, NotIsolating, RangeError
-from .poly import Poly, _int_poly_gcd, _sturm_sequence, squarefree_factor, squarefree_part
+from .errors import DivisionByZero, RangeError
+from .poly import Poly, _int_poly_gcd, _sturm_sequence, squarefree_factor
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -152,11 +152,6 @@ def _depth_for(num, den):
     return e
 
 
-def _check_width(width):
-    if width <= 0:
-        raise RangeError(f"refinement width must be > 0, got {width}")
-
-
 # ---------------------------------------------------------------------------
 # algebraic reals
 
@@ -234,7 +229,8 @@ class RootVal:
         self._descend(self._path[1] + 1)
 
     def refine_to_width(self, width):
-        _check_width(width)
+        if width <= 0:
+            raise RangeError(f"refinement width must be > 0, got {width}")
         if self.rat is None:
             _, v, den = self._frame
             self._descend(_depth_for(v * width.denominator, den * width.numerator))
@@ -431,28 +427,3 @@ def isolate_real_roots(p, lo=Fraction(0), hi=None, classify_rational=True):
             rv = RootVal(ints=ints, lo=ilo, hi=ihi) if rat is None else RootVal.rational(rat)
             found.append((rv, mult))
     return sort_rootvals(found)
-
-
-def refine_root(p, interval, width):
-    """Refine an isolating interval of p's square-free part down to ``width``.
-
-    Collapses to a degenerate (r, r) interval when an exact rational root is
-    hit.  Raises NotIsolating when the endpoint signs do not bracket a root,
-    and RangeError unless ``width`` > 0 and lo <= hi.
-    """
-    _check_width(width)
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    if lo > hi:
-        raise RangeError(f"reversed interval ({lo}, {hi})")
-    part = squarefree_part(p)
-    ints = part.primitive_int()
-    s_lo, s_hi = _sign_at(ints, lo), _sign_at(ints, hi)
-    if s_lo == 0:
-        return lo, lo
-    if s_hi == 0:
-        return hi, hi
-    if s_lo * s_hi > 0:
-        raise NotIsolating(f"no sign change of the square-free part on ({lo}, {hi})")
-    rv = RootVal(ints=ints, lo=lo, hi=hi)
-    rv.refine_to_width(width)
-    return rv.bounds()

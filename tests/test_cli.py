@@ -271,6 +271,36 @@ def test_digits_at_the_bound_print_a_large_value(tmp_path, frequencies):
     assert max(len(v) for v in values) > 4300
 
 
+@pytest.mark.parametrize("frequencies", [False, True])
+def test_decimal_output_is_the_exact_truncation(tmp_path, frequencies):
+    # phi_N has the roots (7 +- sqrt(17))/4: an interval of the default
+    # width 2^-64 fixes only about 19 of the 40 places
+    sympy = pytest.importorskip("sympy")
+    graph = write(tmp_path / "g.json", {
+        "root": "center", "central_mass": "0",
+        "edges": [{"lengths": ["1", "1", "1"], "masses": ["1", "1"]}, {"lengths": ["1"], "masses": []}],
+    })
+    out = tmp_path / "s.json"
+    extra = ["--as-frequencies"] if frequencies else []
+    assert main(["forward", "--graph", graph, "--out", str(out), "--emit-polys",
+                 "--digits", "40", *extra]) == 0
+    got = json.loads(out.read_text())
+    polys = json.loads((tmp_path / "s.polys.json").read_text())
+    z = sympy.Symbol("z")
+    for key in ("neumann", "dirichlet"):
+        coeffs = [sympy.Rational(c) for c in polys[f"phi_{key}"]]
+        roots = sympy.real_roots(sympy.Poly(list(reversed(coeffs)), z))
+        places = []
+        for r in roots:
+            cell = int(sympy.floor((sympy.sqrt(r) if frequencies else r) * 10 ** 40))
+            places.append(f"{cell // 10 ** 40}.{cell % 10 ** 40:040}")
+        if frequencies:
+            assert got[f"{key}_frequencies"] == ["-" + v for v in reversed(places)] + places
+        else:
+            assert [e["value"] for e in got[f"{key}_squared"]] == places
+            assert [e["mult"] for e in got[f"{key}_squared"]] == [1] * len(places)
+
+
 @pytest.mark.parametrize("flag", [
     ["--refine-width", "0"], ["--refine-width=-1/2"], ["--digits=-3"], ["--digits=4001"],
 ])
@@ -306,6 +336,22 @@ def test_lengths_must_be_positive(ex_files, capsys, argv):
     assert main([*argv, "--spectra", spectra, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "E_RANGE"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lengths", ["2,,1", "2,1,", ",2"])
+@pytest.mark.parametrize("argv", [
+    ["inverse-center"],
+    ["inverse-pendant", "--main-length", "2"],
+    ["validate", "--root", "pendant", "--main-length", "2"],
+    ["verify-roundtrip", "--root", "pendant", "--main-length", "2"],
+])
+def test_lengths_with_an_empty_entry_are_a_schema_error(ex_files, capsys, argv, lengths):
+    tmp, spectra, _ = ex_files
+    out = tmp / "o.json"
+    assert main([*argv, "--lengths", lengths, "--spectra", spectra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "E_SCHEMA"
     assert not out.exists()
 
 

@@ -69,13 +69,13 @@ class TestBuildPsi:
 class TestPlans:
     def test_explicit_split(self):
         plan = ReconstructionPlan(residue_split=((F(2), (F(2, 3), F(1, 3))),))
-        cplan = plan_partition(EX_SPECTRA, 2, plan)
+        cplan = plan_partition(EX_SPECTRA.dirichlet_sq, 2, plan)
         (assignment,) = cplan.assignments
         assert assignment.edges == (0, 1)
         assert assignment.shares == (F(2, 3), F(1, 3))
 
     def test_default_equal_split(self):
-        cplan = plan_partition(EX_SPECTRA, 2)
+        cplan = plan_partition(EX_SPECTRA.dirichlet_sq, 2)
         (assignment,) = cplan.assignments
         assert assignment.shares == (F(1, 2), F(1, 2))
 
@@ -85,16 +85,16 @@ class TestPlans:
             ((F(2), 3), (F(5), 1)),
         )
         with pytest.raises(PlanInfeasible):
-            plan_partition(spectra, 2)
+            plan_partition(spectra.dirichlet_sq, 2)
 
     def test_bad_share_sum(self):
         plan = ReconstructionPlan(residue_split=((F(2), (F(1, 2), F(1, 3))),))
         with pytest.raises(PlanInfeasible):
-            plan_partition(EX_SPECTRA, 2, plan)
+            plan_partition(EX_SPECTRA.dirichlet_sq, 2, plan)
 
     def test_partition_override(self):
         plan = ReconstructionPlan(partition=((1, 0),))
-        cplan = plan_partition(EX_SPECTRA, 2, plan)
+        cplan = plan_partition(EX_SPECTRA.dirichlet_sq, 2, plan)
         assert cplan.assignments[0].edges == (1, 0)
 
     def test_round_robin_by_load(self):
@@ -102,7 +102,7 @@ class TestPlans:
             ((F(1, 2), 1), (F(3), 1), (F(5), 1)),
             ((F(1), 1), (F(4), 1)),
         )
-        cplan = plan_partition(spectra, 3)
+        cplan = plan_partition(spectra.dirichlet_sq, 3)
         assert cplan.assignments[0].edges == (0,)
         assert cplan.assignments[1].edges == (1,)
 
@@ -168,20 +168,15 @@ class TestReconstruct:
         with pytest.raises(InvariantViolation):
             reconstruct_center(bad, [F(1), F(1)])
 
-    def test_single_string_two_spectra(self):
-        # classic single-string problem: free-at-centre spectrum {1},
-        # clamped spectrum {2}, length 2 -> the unit bead in the middle
-        spectra = SpectrumPair(((F(1), 1),), ((F(2), 1),))
-        rec = reconstruct_center(spectra, [F(2)], allow_single=True)
-        assert rec.graph is None
-        assert rec.central_mass == 0
-        (edge,) = rec.edges
-        assert edge.lengths == (F(1), F(1)) and edge.masses == (F(1),)
-
     def test_single_string_requires_strict(self):
+        # one string (the subgraph of a two-string pendant graph) admits no
+        # shared value; reconstruction itself needs two strings
         shared = SpectrumPair(((F(1), 1), (F(2), 1)), ((F(2), 1), (F(3), 1)))
+        report = validate_center(shared, 1)
+        assert not report.valid
+        assert any("interlace strictly" in i.message for i in report.issues)
         with pytest.raises(InvariantViolation):
-            reconstruct_center(shared, [F(1)], allow_single=True)
+            reconstruct_center(shared, [F(1)], validate=False)
 
     def test_roundtrip_forward_induced(self, rng):
         # graph -> forward -> grouped reconstruct -> forward: same quotient,
@@ -206,21 +201,14 @@ class TestReconstruct:
 
 class TestEnumerate:
     def test_constraint_export(self):
-        out = enumerate_constraints(EX_SPECTRA, EX_LENGTHS)
+        rec = reconstruct_center(EX_SPECTRA, EX_LENGTHS)
+        out = enumerate_constraints(EX_SPECTRA, EX_LENGTHS, rec)
         assert out["central_mass"] == "0"
         (pole,) = out["poles"]
         assert pole["value"] == "2"
         assert pole["total_residue"] == "3"
         assert pole["free_parameters"] == 1
         assert out["feasible_partitions"] == 1
-
-    def test_reconstruction_reused(self, rng):
-        for _ in range(10):
-            spectra, lengths, _, _ = random_center_spectral_data(rng)
-            rec = reconstruct_center(spectra, lengths)
-            assert enumerate_constraints(spectra, lengths, None, rec) == enumerate_constraints(
-                spectra, lengths
-            )
 
 
 def test_reconstruction_takes_no_gcd(canonical_calls, rng):

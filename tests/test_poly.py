@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from starstring.errors import DivisionByZero
 from starstring.poly import (
-    ONE, Poly, ZERO, _sturm_sequence, poly_gcd, squarefree_factor, squarefree_part,
+    ONE, Poly, ZERO, _sturm_sequence, poly_gcd, squarefree_factor,
 )
 
 
@@ -92,7 +92,10 @@ def test_squarefree_reassembles():
             total = total * f ** m
         assert total == p.monic()
         distinct = sorted(set(roots))
-        assert squarefree_part(p) == Poly.from_linear_roots(distinct)
+        part = ONE
+        for f, _ in squarefree_factor(p):
+            part = part * f
+        assert part == Poly.from_linear_roots(distinct)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Rational functions, Stieltjes continued fractions, partial fractions."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from starstring.inverse_pendant import build_phi
 from starstring.model import SpectrumPair
 from starstring.poly import ONE, Poly
 from starstring.ratfun import (
+    PartialFractions,
     RationalFunction,
     StieltjesCF,
     cf_expand,
@@ -277,6 +279,29 @@ class TestPartialFractions:
             "terms": [{"pole": "2", "residue": "3"}],
             "constant": "3",
         }
+
+
+    def test_reassemble_matches_the_canonical_sum(self):
+        # oracle: the terms added one at a time, each sum canonicalised
+        rng = random.Random(20263)
+
+        def rat():
+            return F(rng.randint(-30, 30), rng.randint(1, 6))
+
+        cases = [PartialFractions(F(0), (), F(0)), PartialFractions(F(3, 2), (), F(-1))]
+        for _ in range(150):
+            poles = sorted({rat() for _ in range(rng.randint(0, 6))})
+            terms = tuple((v, rng.choice((-1, 1)) * F(rng.randint(1, 40), rng.randint(1, 7)))
+                          for v in poles)
+            linear = rng.choice((F(0), rat()))
+            cases.append(PartialFractions(linear, terms, rng.choice((F(0), rat()))))
+        for pf in cases:
+            expect = RationalFunction(Poly([pf.constant, -pf.linear_coeff]), ONE)
+            for pole, residue in pf.terms:
+                expect = expect + RationalFunction(Poly.constant(residue), Poly([-pole, 1]))
+            assert pf.reassemble() == expect
+        assert sum(not pf.terms for pf in cases) > 2
+        assert sum(pf.linear_coeff == 0 and bool(pf.terms) for pf in cases) > 2
 
 
 class TestGroupedSplit:

@@ -7,13 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from starstring import roots
-from starstring.errors import NotIsolating, RangeError
-from starstring.poly import ONE, Poly, squarefree_part
-from starstring.roots import (
-    RootVal,
-    isolate_real_roots,
-    refine_root,
-)
+from starstring.errors import RangeError
+from starstring.poly import ONE, Poly, squarefree_factor
+from starstring.roots import RootVal, isolate_real_roots
 
 
 def P(*coeffs):
@@ -115,18 +111,25 @@ def test_compare_overlapping_roots_of_polynomials_sharing_a_factor():
 
 
 def test_refine_root_width():
-    lo, hi = refine_root(P(-2, 0, 1), (F(1), F(2)), F(1, 1024))
+    root = isolate_real_roots(P(-2, 0, 1))[0][0]
+    root.refine_to_width(F(1, 1024))
+    lo, hi = root.bounds()
     assert hi - lo <= F(1, 1024)
     assert lo * lo < 2 < hi * hi
 
 
 def test_refine_root_exact_hit():
-    assert refine_root(P(2, -1), (F(1), F(3)), F(1, 4)) == (F(2), F(2))
+    # 2 is the midpoint of (1, 3): refinement turns the root into the rational
+    root = RootVal(ints=[-2, 1], lo=F(1), hi=F(3))
+    root.refine_to_width(F(1, 4))
+    assert root.is_rational and root.bounds() == (F(2), F(2))
 
 
 def test_refine_root_quadratic_oracle():
     # (3 - sqrt(5))/2 is the small root of z^2 - 3z + 1
-    lo, hi = refine_root(P(1, -3, 1), (F(0), F(1)), F(1, 10 ** 6))
+    root = isolate_real_roots(P(1, -3, 1), F(0), F(1))[0][0]
+    root.refine_to_width(F(1, 10 ** 6))
+    lo, hi = root.bounds()
     assert hi - lo <= F(1, 10 ** 6)
     # oracle via the quadratic formula: compare against squared bounds
     val = P(1, -3, 1)
@@ -135,22 +138,9 @@ def test_refine_root_quadratic_oracle():
 
 @pytest.mark.parametrize("width", [F(0), F(-1, 2)])
 def test_refinement_rejects_nonpositive_width(width):
-    with pytest.raises(RangeError):
-        refine_root(P(-2, 0, 1), (F(1), F(2)), width)
     root = isolate_real_roots(P(-2, 0, 1), F(0), None)[0][0]
     with pytest.raises(RangeError):
         root.refine_to_width(width)
-
-
-def test_refine_root_rejects_reversed_interval():
-    with pytest.raises(RangeError):
-        refine_root(P(-2, 0, 1), (F(2), F(1)), F(1, 1000))
-    assert refine_root(P(-2, 1), (F(2), F(2)), F(1, 4)) == (F(2), F(2))
-
-
-def test_refine_root_not_isolating():
-    with pytest.raises(NotIsolating):
-        refine_root(P(-2, 0, 1), (F(2), F(3)), F(1, 4))
 
 
 def test_random_mixed_sorting(rng):
@@ -284,7 +274,9 @@ def test_quadratic_refinement_matches_plain_bisection():
     cases = []
     for _ in range(40):
         coeffs = [rng.randint(-60, 60) for _ in range(rng.randint(2, 7))] + [rng.randint(1, 9)]
-        part = squarefree_part(Poly([F(c) for c in coeffs]))
+        part = ONE
+        for f, _ in squarefree_factor(Poly([F(c) for c in coeffs])):
+            part = part * f
         for rv, _ in isolate_real_roots(part, None, None, classify_rational=False):
             if not rv.is_rational:
                 cases.append((rv.ints, rv.lo, rv.hi))

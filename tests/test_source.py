@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import starstring
+from starstring import errors
 
 
 def test_no_assert_statements():
@@ -56,3 +57,22 @@ def test_remainder_sequence_helpers_stay_in_poly():
                 names = [getattr(node, "id", None), getattr(node, "attr", None)]
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name in private]
     assert found == []
+
+
+def test_every_error_class_is_raised_elsewhere():
+    """An error code no module raises is dead surface: each subclass of
+    ``StarStringError`` in ``errors.py`` is raised in another module."""
+    defined = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.StarStringError)
+        and value is not errors.StarStringError and value.__module__ == errors.__name__
+    }
+    raised = set()
+    for path in sorted(Path(starstring.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    assert defined and sorted(defined - raised) == []
