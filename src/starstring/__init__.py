@@ -74,10 +74,8 @@ from .ratfun import (
     RationalFunction,
     StieltjesCF,
     cf_expand,
-    cf_tail,
     cf_to_ratfun,
     partial_fractions,
-    validate_s0,
 )
 from .roots import RootVal, isolate_real_roots
 

@@ -15,7 +15,7 @@ of "odd" the spectrum with it free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -84,12 +84,11 @@ def _center_char_polys(edges, central_mass):
     return num - Poly([0, central_mass]) * den, den
 
 
-def char_polys_center(graph, central_mass=None):
+def char_polys_center(graph):
     """Neumann and Dirichlet characteristic polynomials, centre root."""
     if graph.root is not Root.CENTER:
         raise InvariantViolation("char_polys_center needs a centre-rooted graph")
-    m = graph.central_mass if central_mass is None else Fraction(central_mass)
-    return _center_char_polys(graph.edges, m)
+    return _center_char_polys(graph.edges, graph.central_mass)
 
 
 def char_polys_pendant(graph):
@@ -284,7 +283,7 @@ def neumann_monotonicity(graph, mass_values):
     masses = sorted(Fraction(m) for m in mass_values)
     spectra = []
     for m in masses:
-        phi_n, _ = char_polys_center(graph, central_mass=m)
+        phi_n, _ = char_polys_center(replace(graph, central_mass=m))
         roots = spectrum_of(phi_n, classify_rational=False)
         spectra.append([rv for rv, mult in roots for _ in range(mult)])
     comparisons = 0

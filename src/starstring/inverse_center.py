@@ -57,6 +57,19 @@ class ValidationReport:
         }
 
 
+def _cap_issues(spectra, neumann_cap, dirichlet_cap):
+    """A multiplicity issue for each value above its spectrum's cap."""
+    return [
+        Issue("multiplicity", f"{label} value {v} has multiplicity {mult} > {cap}")
+        for label, entries, cap in (
+            ("neumann", spectra.neumann_sq, neumann_cap),
+            ("dirichlet", spectra.dirichlet_sq, dirichlet_cap),
+        )
+        for v, mult in entries
+        if mult > cap
+    ]
+
+
 def validate_center(spectra, q):
     """Check the centre-root solvability conditions, reporting every violation.
 
@@ -65,22 +78,26 @@ def validate_center(spectra, q):
     inequalities; the two-sided equality condition at interior ties;
     Neumann multiplicities at most q-1 (Dirichlet at most q).  For q = 1
     (internal single-string use) interlacing must be strict throughout.
+    The chain and tie checks list every occurrence, so they run only once
+    every multiplicity is within its cap.
     """
     issues = []
-    lam = spectra.neumann_values()
-    zet = spectra.dirichlet_values()
-    n = len(zet)
+    caps = _cap_issues(spectra, q - 1 if q >= 2 else 1, q)
+    lam_count = sum(m for _, m in spectra.neumann_sq)
+    n = sum(m for _, m in spectra.dirichlet_sq)
     m_positive = None
-    if len(lam) == n + 1:
+    if lam_count == n + 1:
         m_positive = True
-    elif len(lam) == n:
+    elif lam_count == n:
         m_positive = False
     else:
         issues.append(Issue(
             "count",
-            f"need #neumann = #dirichlet or #dirichlet + 1, got {len(lam)} vs {n}",
+            f"need #neumann = #dirichlet or #dirichlet + 1, got {lam_count} vs {n}",
         ))
-    if m_positive is not None and n > 0:
+    if not caps and m_positive is not None and n > 0:
+        lam = spectra.neumann_values()
+        zet = spectra.dirichlet_values()
         if not lam[0] < zet[0]:
             issues.append(Issue("chain", f"need lambda_1 < zeta_1, got {lam[0]} >= {zet[0]}"))
         for k in range(1, n):
@@ -101,24 +118,15 @@ def validate_center(spectra, q):
                     f"tie condition fails at k={k + 1}: "
                     f"zeta_{k}={zet[k - 1]}, lambda_{k + 1}={lam[k]}, zeta_{k + 1}={zet[k]}",
                 ))
-    if m_positive is not None and n == 0 and len(lam) > 1:
+    if m_positive is not None and n == 0 and lam_count > 1:
         issues.append(Issue("count", "empty Dirichlet spectrum admits at most one Neumann value"))
-    lam_cap = q - 1 if q >= 2 else 1
-    for v, mult in spectra.neumann_sq:
-        if mult > lam_cap:
-            issues.append(Issue(
-                "multiplicity", f"neumann value {v} has multiplicity {mult} > {lam_cap}"
-            ))
-    for v, mult in spectra.dirichlet_sq:
-        if mult > q:
-            issues.append(Issue(
-                "multiplicity", f"dirichlet value {v} has multiplicity {mult} > {q}"
-            ))
+    issues += caps
     if q == 1:
         common = {v for v, _ in spectra.neumann_sq} & {v for v, _ in spectra.dirichlet_sq}
         if common:
+            shared = ", ".join(format_rational(v) for v in sorted(common))
             issues.append(Issue(
-                "multiplicity", f"single-string data must interlace strictly, shared {sorted(common)}"
+                "multiplicity", f"single-string data must interlace strictly, shared [{shared}]"
             ))
     return ValidationReport(not issues, tuple(issues), m_positive)
 

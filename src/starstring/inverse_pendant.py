@@ -20,6 +20,7 @@ from .inverse_center import (
     ConcretePlan,
     Issue,
     ValidationReport,
+    _cap_issues,
     _common_values,
     _edge_from_summand,
     _edge_summands,
@@ -29,15 +30,14 @@ from .inverse_center import (
     validate_center,
 )
 from .model import Edge, Root, SpectrumPair, StarGraph
-from .poly import ONE, Poly
+from .poly import Poly
 from .ratfun import (
     RationalFunction,
     StieltjesCF,
     cf_expand,
     cf_to_ratfun,
-    _pole_sum,
+    partial_fractions,
     _polynomial_part,
-    _residues,
 )
 from .roots import isolate_real_roots
 
@@ -112,18 +112,32 @@ def validate_pendant(spectra, main_length, lengths):
     The interlacing chain must open strictly (mu_1 < lambda_1), both
     multiplicities stay below the edge count, and at every value shared by
     the two spectra the continued-fraction tail must vanish; the last
-    condition is checked constructively by computing the tail.
+    condition is checked constructively by computing the tail.  The chain
+    check lists every occurrence, so it runs only once every multiplicity
+    is within its cap.
     """
     q = len(lengths) + 1
     issues = []
-    mu = spectra.neumann_values()
-    lam = spectra.dirichlet_values()
-    n = len(lam)
-    if len(mu) != n:
-        issues.append(Issue("count", f"need equal counts, got {len(mu)} vs {n}"))
+    caps = _cap_issues(spectra, q - 1, q - 1)
+    # a value shared by both spectra is a common zero of the two
+    # characteristic polynomials, whose multiplicities sum to at most 2q-3
+    mu_mult = dict(spectra.neumann_sq)
+    for v, mult in spectra.dirichlet_sq:
+        shared = mu_mult.get(v, 0)
+        if shared and shared + mult > 2 * q - 3:
+            caps.append(Issue(
+                "multiplicity",
+                f"shared value {v}: multiplicity sum {shared + mult} exceeds {2 * q - 3}",
+            ))
+    mu_count = sum(m for _, m in spectra.neumann_sq)
+    n = sum(m for _, m in spectra.dirichlet_sq)
+    if mu_count != n:
+        issues.append(Issue("count", f"need equal counts, got {mu_count} vs {n}"))
     elif n == 0:
         issues.append(Issue("count", "need at least one eigenvalue pair"))
-    else:
+    elif not caps:
+        mu = spectra.neumann_values()
+        lam = spectra.dirichlet_values()
         if not mu[0] < lam[0]:
             issues.append(Issue("chain", f"need mu_1 < lambda_1, got {mu[0]} >= {lam[0]}"))
         for k in range(1, n):
@@ -133,23 +147,7 @@ def validate_pendant(spectra, main_length, lengths):
                     f"need lambda_{k} <= mu_{k + 1} <= lambda_{k + 1} "
                     f"({lam[k - 1]}, {mu[k]}, {lam[k]})",
                 ))
-    cap = q - 1
-    for label, entries in (("neumann", spectra.neumann_sq), ("dirichlet", spectra.dirichlet_sq)):
-        for v, mult in entries:
-            if mult > cap:
-                issues.append(Issue(
-                    "multiplicity", f"{label} value {v} has multiplicity {mult} > {cap}"
-                ))
-    # a value shared by both spectra is a common zero of the two
-    # characteristic polynomials, whose multiplicities sum to at most 2q-3
-    mu_mult = dict(spectra.neumann_sq)
-    for v, mult in spectra.dirichlet_sq:
-        shared = mu_mult.get(v, 0)
-        if shared and shared + mult > 2 * q - 3:
-            issues.append(Issue(
-                "multiplicity",
-                f"shared value {v}: multiplicity sum {shared + mult} exceeds {2 * q - 3}",
-            ))
+    issues += caps
     if not issues:
         try:
             dec = decompose_main(spectra, main_length, lengths)
@@ -177,62 +175,45 @@ class PendantReconstruction:
     graph: StarGraph
     decomposition: MainEdgeDecomposition
     subgraph_plan: ConcretePlan | None
-    subgraph_central_mass: Fraction
 
 
 def _subgraph_edges(psi_sub, lengths, common_zeros, plan):
     """Realize the q-1 edge subgraph from its spectral quotient.
 
     Rational poles are distributed per the plan (default: round-robin by
-    load, equal residue shares).  A residual denominator factor without
-    rational roots is kept whole and assigned to a single edge, which stays
-    exact; fine-grained user plans over such poles are refused.
+    load, equal residue shares).  The irrational pole cluster of
+    ``partial_fractions`` is kept whole and assigned to a single edge,
+    which stays exact; fine-grained user plans over such poles are refused.
     """
     q = len(lengths)
-    a0, _, proper = _polynomial_part(psi_sub)
-    den = proper.den
     if q == 1:
         # single string: no split at all; shared spectral values are
         # impossible here (their multiplicities would have to sum to <= 1)
         if common_zeros:
             raise NotStieltjes("a two-string graph admits no shared eigenvalues")
-        return a0, [_edge_from_summand(proper.num, den, lengths[0])], None
-    rational_poles = []
-    leftover = ONE
-    if den.degree > 0:
-        roots = isolate_real_roots(den, Fraction(0), None)
-        if sum(m for _, m in roots) != den.degree:
-            raise NotStieltjes("subgraph quotient has non-real poles")
-        if any(mult != 1 for _, mult in roots):
-            raise NotStieltjes("subgraph quotient has a multiple pole")
-        rational_poles = sorted(rv.rat for rv, _ in roots if rv.is_rational)
-        leftover = den.divexact(Poly.from_linear_roots(rational_poles)).monic()
-    if leftover.degree > 0 and plan is not None and (
+        a0, _, proper = _polynomial_part(psi_sub)
+        return a0, [_edge_from_summand(proper.num, proper.den, lengths[0])], None
+    pf, cluster = partial_fractions(psi_sub)
+    if cluster.den.degree > 0 and plan is not None and (
         plan.partition is not None or plan.residue_split is not None
     ):
         raise IrrationalPole(
             "user plans require rational subgraph spectra; "
-            f"a degree-{leftover.degree} pole cluster is irrational"
+            f"a degree-{cluster.den.degree} pole cluster is irrational"
         )
     common = dict(common_zeros)
-    occurrences = tuple((v, 1 + common.get(v, 0)) for v in rational_poles)
-    residues = _residues(proper, rational_poles)
+    occurrences = tuple((v, 1 + common.get(v, 0)) for v, _ in pf.terms)
     cplan = plan_partition(occurrences, q, plan)
-    summands = _edge_summands(cplan, dict(residues), q)
-    if leftover.degree > 0:
-        # proper - R/L = S/leftover has exactly the cluster's poles, so S is
-        # coprime to leftover, and n*leftover + S*d to d*leftover below
-        rat_num, rat_den = _pole_sum(residues)
-        cluster_num, rem = divmod(proper.num - rat_num * leftover, rat_den)
-        if not rem.is_zero:
-            raise InvariantViolation("pole cluster extraction mismatch")
-        # the least-loaded edge takes the cluster whole
+    summands = _edge_summands(cplan, dict(pf.terms), q)
+    if cluster.den.degree > 0:
+        # the least-loaded edge takes the cluster whole; its poles are not
+        # the edge's, so n*C + S*d over d*C stays coprime
         load = [sum(j in a.edges for a in cplan.assignments) for j in range(q)]
         target = min(range(q), key=lambda j: (load[j], j))
         n, d = summands[target]
-        summands[target] = (n * leftover + cluster_num * d, d * leftover)
+        summands[target] = (n * cluster.den + cluster.num * d, d * cluster.den)
     edges = [_edge_from_summand(n, d, l) for (n, d), l in zip(summands, lengths)]
-    return a0, edges, cplan
+    return pf.linear_coeff, edges, cplan
 
 
 def reconstruct_pendant(spectra, main_length, lengths, plan=None, validate=True):
@@ -256,7 +237,7 @@ def reconstruct_pendant(spectra, main_length, lengths, plan=None, validate=True)
     elif sub_mass <= 0:
         raise InvariantViolation("vanishing tail constant forces a central mass")
     graph = StarGraph(Root.PENDANT, sub_mass, tuple(edges), dec.main)
-    return PendantReconstruction(graph, dec, plan_used, sub_mass)
+    return PendantReconstruction(graph, dec, plan_used)
 
 
 def validate_subgraph_data(dec, lengths):

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolation, RequiresPositiveCentralMass, SchemaError
+from .errors import InvariantViolation, RequiresPositiveCentralMass
 from .model import Root
 from .poly import ONE, Poly, _sturm_sequence
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 from .roots import isolate_real_roots
 
 
@@ -36,27 +36,8 @@ class RationalMatrix:
     def dim(self):
         return len(self.entries)
 
-    def is_symmetric(self):
-        e = self.entries
-        return all(e[i][j] == e[j][i] for i in range(self.dim) for j in range(i))
-
-    def principal_submatrix(self):
-        """Delete the first row and column."""
-        return RationalMatrix(tuple(row[1:] for row in self.entries[1:]))
-
     def to_json(self):
         return [[format_rational(c) for c in row] for row in self.entries]
-
-    @staticmethod
-    def from_json(obj, context="matrix"):
-        if not isinstance(obj, list):
-            raise SchemaError(f"{context}: expected array of arrays")
-        rows = []
-        for i, row in enumerate(obj):
-            if not isinstance(row, list):
-                raise SchemaError(f"{context}[{i}]: expected array")
-            rows.append(tuple(parse_rational(c, f"{context}[{i}][{j}]") for j, c in enumerate(row)))
-        return RationalMatrix(tuple(rows))
 
 
 def build_pencil(graph):
@@ -90,24 +71,29 @@ def build_pencil(graph):
 
 
 def pencil_det(L, mass_diag):
-    """det(L - z*M) as an exact polynomial, by elimination on L's pattern.
+    """(det(L - z*M), the same without row and column 0), exact polynomials
+    from one elimination on L's pattern.
 
     The pattern of L is the graph joining i and j when L[i][j] or L[j][i]
     is nonzero (i != j).  It must be a forest, as it is for a star pencil
     and for its principal submatrix, a forest of chains; otherwise this
-    raises InvariantViolation.  Each tree is rooted at its lowest index and
-    eliminated from the leaves up: a vertex v with children c has
+    raises InvariantViolation, as it does for an empty L.  Each tree is
+    rooted at its lowest index and eliminated from the leaves up: a vertex
+    v with children c has
 
         Q_v = prod_c P_c,
         P_v = (L_vv - z*m_v)*Q_v - sum_c L_vc*L_cv*Q_c*prod_{c' != c} P_c',
 
     the determinants of v's subtree without and with v.  The determinant is
-    the product of P over the roots.  On a chain this is the three-term
-    continuant, at the centre the Schur complement; it takes O(n^2)
-    coefficient operations.
+    the product of P over the roots; vertex 0 is a root, so the submatrix
+    determinant is Q_0 times the P of the other roots, and for a star
+    pencil Q_0 alone.  On a chain this is the three-term continuant, at
+    the centre the Schur complement; it takes O(n^2) coefficient operations.
     """
     e = L.entries
     n = L.dim
+    if n == 0:
+        raise InvariantViolation("an empty pencil has no row 0")
     nbrs = [[j for j in range(n) if j != i and (e[i][j] or e[j][i])] for i in range(n)]
     parent = [None] * n
     order = []  # preorder: every vertex after its parent
@@ -129,15 +115,16 @@ def pencil_det(L, mass_diag):
     # p[v], q[v] fold in v's children one at a time; final once v is reached
     p = [Poly([e[v][v], -mass_diag[v]]) for v in range(n)]
     q = [ONE] * n
-    det = ONE
+    others = ONE  # the P of every root but 0
     for c in reversed(order):
         v = parent[c]
         if v < 0:
-            det = det * p[c]
+            if c > 0:
+                others = others * p[c]
             continue
         p[v] = p[v] * p[c] - (q[c] * q[v]).scale(e[v][c] * e[c][v])
         q[v] = q[v] * p[c]
-    return det
+    return p[0] * others, q[0] * others
 
 
 @dataclass(frozen=True)
@@ -159,9 +146,10 @@ class InterlacingCertificate:
 def interlacing_certificate(L, mass_diag):
     """Certify lam_1 <= mu_1 <= lam_2 <= ... for the pencil and its first
     principal submatrix pencil by one signed remainder sequence of their
-    determinants.  Only where that does not certify are both isolated and
-    their roots compared, for the counts and mu_k/lambda_k failure messages."""
-    return _certify(pencil_det(L, mass_diag), pencil_det(L.principal_submatrix(), mass_diag[1:]))
+    determinants, which one elimination gives.  Only where that does not
+    certify are both isolated and their roots compared, for the counts and
+    mu_k/lambda_k failure messages."""
+    return _certify(*pencil_det(L, mass_diag))
 
 
 def _sequence_certifies(full, sub):

@@ -274,7 +274,8 @@ class ReconstructionPlan:
                 raise SchemaError(f"{context}.partition: expected array of arrays")
             partition = []
             for i, entry in enumerate(raw):
-                if not isinstance(entry, list) or not all(isinstance(e, int) for e in entry):
+                # JSON true and false are bools, which Python counts as ints
+                if not isinstance(entry, list) or not all(type(e) is int for e in entry):
                     raise SchemaError(f"{context}.partition[{i}]: expected array of edge indices")
                 partition.append(tuple(entry))
             partition = tuple(partition)
@@ -283,15 +284,17 @@ class ReconstructionPlan:
             raw = obj["residue_split"]
             if not isinstance(raw, dict):
                 raise SchemaError(f"{context}.residue_split: expected object")
-            split = tuple(
-                sorted(
-                    (
-                        parse_rational(k, f"{context}.residue_split key"),
-                        tuple(parse_rational(s, f"{context}.residue_split[{k}]") for s in v),
+            split = {}
+            for k, v in raw.items():
+                value = parse_rational(k, f"{context}.residue_split key")
+                if not isinstance(v, list):
+                    raise SchemaError(f"{context}.residue_split[{k}]: expected array of shares")
+                if value in split:
+                    raise SchemaError(
+                        f"{context}.residue_split: two keys name the pole {format_rational(value)}"
                     )
-                    for k, v in raw.items()
-                )
-            )
+                split[value] = tuple(parse_rational(s, f"{context}.residue_split[{k}]") for s in v)
+            split = tuple(sorted(split.items()))
         return ReconstructionPlan(partition, split)
 
 

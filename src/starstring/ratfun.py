@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadShape, DivisionByZero, InvariantViolation, IrrationalPole, NotStieltjes, RangeError
+from .errors import BadShape, DivisionByZero, InvariantViolation, NotStieltjes
 from .poly import ONE, Poly, ZERO, poly_extended_gcd, poly_gcd
 from .rational import format_rational
 from .roots import isolate_real_roots
@@ -128,15 +128,6 @@ class RationalFunction:
         if d == 0:
             raise DivisionByZero(f"pole at {x}")
         return self.num.eval(x) / d
-
-    def value_at_infinity(self):
-        """Limit at infinity: 0 if deg num < deg den, lc ratio if equal, else None."""
-        dn, dd = self.num.degree, self.den.degree
-        if dn < dd:
-            return Fraction(0)
-        if dn == dd:
-            return self.num.lc / self.den.lc
-        return None
 
 
 def _as_rf(x):
@@ -257,95 +248,6 @@ def cf_to_ratfun(cf):
     return RationalFunction.from_coprime(even, odd)
 
 
-def cf_tail(cf, i):
-    """Tail (a_i..a_p ; b_{i+1}..b_p) of the continued fraction."""
-    if not 0 <= i <= cf.depth:
-        raise RangeError(f"tail index {i} out of range 0..{cf.depth}")
-    return StieltjesCF(cf.a[i:], cf.b[i:])
-
-
-# ---------------------------------------------------------------------------
-# S0 validation report
-
-
-@dataclass(frozen=True)
-class S0Report:
-    valid: bool
-    issues: tuple
-    a0: Fraction | None
-    poles: tuple
-    zeros: tuple
-
-    def to_json(self):
-        return {
-            "valid": self.valid,
-            "issues": list(self.issues),
-            "a0": None if self.a0 is None else format_rational(self.a0),
-            "poles": [_rootval_json(r) for r in self.poles],
-            "zeros": [_rootval_json(r) for r in self.zeros],
-        }
-
-
-def _rootval_json(rv):
-    if rv.is_rational:
-        return {"value": format_rational(rv.rat)}
-    lo, hi = rv.bounds()
-    return {"interval": [format_rational(lo), format_rational(hi)]}
-
-
-def validate_s0(f):
-    """Diagnostic check of the rational S0 property by root isolation.
-
-    Verifies that all poles and zeros are real, simple, positive, and
-    strictly interlace starting with a pole; reports every violation.
-    """
-    issues = []
-    if f.is_zero:
-        return S0Report(False, ("function is identically zero",), None, (), ())
-    a0 = f.value_at_infinity()
-    if a0 is None:
-        issues.append("numerator degree exceeds denominator degree")
-        return S0Report(False, tuple(issues), None, (), ())
-    num, den = f.num, f.den
-    if a0 < 0:
-        issues.append(f"negative limit at infinity: {a0}")
-    elif a0 == 0 and num.lc / den.lc > 0:
-        # f ~ -1/(b1*z) at infinity with the first mass b1 > 0
-        issues.append(f"zero limit at infinity approached from above: leading ratio {num.lc / den.lc}")
-    for name, p in (("zero", num), ("pole", den)):
-        if p.degree > 0 and poly_gcd(p, p.derivative()).degree > 0:
-            issues.append(f"multiple {name} detected")
-    zeros = [rv for rv, m in isolate_real_roots(num, None, None) for _ in range(m)]
-    poles = [rv for rv, m in isolate_real_roots(den, None, None) for _ in range(m)]
-    if len(zeros) != num.degree:
-        issues.append("numerator has non-real zeros")
-    if len(poles) != den.degree:
-        issues.append("denominator has non-real zeros")
-    zero_rv = Fraction(0)
-    for name, lst in (("zero", zeros), ("pole", poles)):
-        for rv in lst:
-            if rv.compare(zero_rv) <= 0:
-                issues.append(f"nonpositive {name}")
-                break
-    expected_zero_count = len(poles) if a0 > 0 else max(len(poles) - 1, 0)
-    if not issues and len(zeros) != expected_zero_count:
-        issues.append(
-            f"expected {expected_zero_count} zeros for a0={a0}, found {len(zeros)}"
-        )
-    if not issues:
-        # strict interlacing, pole first
-        chain = []
-        for p_rv, z_rv in zip(poles, zeros):
-            chain.append(p_rv)
-            chain.append(z_rv)
-        chain.extend(poles[len(zeros):])
-        for i in range(len(chain) - 1):
-            if chain[i].compare(chain[i + 1]) >= 0:
-                issues.append(f"interlacing fails at position {i}")
-                break
-    return S0Report(not issues, tuple(issues), a0, tuple(poles), tuple(zeros))
-
-
 # ---------------------------------------------------------------------------
 # partial fractions
 
@@ -412,29 +314,29 @@ def _residues(proper, poles):
 
 
 def partial_fractions(f):
-    """Exact partial fractions of f = -A0*z + sum A_i/(z - pole_i) + B.
+    """Split f into partial fractions over its unknown poles.
 
-    Poles must be simple and rational (exact residue extraction is refused
-    otherwise), residues must come out positive.
+    Returns (pf, cluster) with f = pf.reassemble() + cluster: pf holds
+    -A0*z + B and a positive residue term at each rational pole, and the
+    proper cluster S/C keeps the irrational poles together, 0/1 when there
+    are none.  Every pole must be real, positive and simple (NotStieltjes
+    otherwise): the denominator is isolated on (0, oo) with classification.
     """
     a0, const, proper = _polynomial_part(f)
     den = proper.den
-    poles = []
-    if den.degree > 0:
-        roots = isolate_real_roots(den, None, None)
-        if sum(m for _, m in roots) != den.degree:
-            raise IrrationalPole("denominator has non-real poles")
-        for rv, mult in roots:
-            if mult > 1:
-                raise BadShape("multiple pole")
-            if not rv.is_rational:
-                lo, hi = rv.bounds()
-                raise IrrationalPole(f"irrational pole in ({lo}, {hi})")
-            poles.append(rv.rat)
-    pf = PartialFractions(a0, _residues(proper, poles), const)
-    if pf.reassemble() != f:
-        raise BadShape("partial fraction reassembly mismatch")
-    return pf
+    roots = isolate_real_roots(den, Fraction(0), None) if den.degree > 0 else []
+    if sum(m for _, m in roots) != den.degree:
+        raise NotStieltjes("a pole is not real and positive")
+    if any(m != 1 for _, m in roots):
+        raise NotStieltjes("multiple pole")
+    terms = _residues(proper, [rv.rat for rv, _ in roots if rv.is_rational])
+    # proper - n/d = S/C has exactly the irrational poles, so S is coprime to C
+    n, d = _pole_sum(terms)
+    c = den.divexact(d)
+    s, rem = divmod(proper.num - n * c, d)
+    if not rem.is_zero:
+        raise InvariantViolation("pole cluster extraction mismatch")
+    return PartialFractions(a0, terms, const), RationalFunction.from_coprime(s, c)
 
 
 def partial_fractions_at(f, poles):
@@ -473,17 +375,3 @@ def split_proper_by_factors(proper, factors):
     if total != proper.num:
         raise BadShape("grouped partial fraction reassembly mismatch")
     return parts
-
-
-# ---------------------------------------------------------------------------
-# tail zero monotonicity helper (used by property tests and diagnostics)
-
-
-def smallest_zero(f):
-    """Smallest positive zero of a rational function, or None."""
-    if f.is_zero or f.num.degree < 1:
-        return None
-    roots = isolate_real_roots(f.num, Fraction(0), None)
-    if not roots:
-        return None
-    return roots[0][0]

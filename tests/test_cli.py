@@ -1,9 +1,15 @@
 """CLI surface: exit codes, file formats, determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import starstring
 from starstring.cli import main
 
 EX_SPECTRA = {
@@ -475,3 +481,64 @@ def test_outputs_never_remove_an_input(tmp_path):
     out = tmp_path / "g.json"
     assert main(["inverse-center", "--spectra", spectra, "--lengths", "2,1", "--out", str(out)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.constraints.json", "g.json", "g.plan.json"]
+
+
+TIED_SPECTRA = {
+    "neumann_squared": [{"value": "1"}, {"value": "2"}],
+    "dirichlet_squared": [{"value": "2", "mult": 2}],
+}
+
+
+@pytest.mark.parametrize("plan", [
+    {"residue_split": {"2": 5}},
+    {"residue_split": {"2": None}},
+    {"residue_split": {"2": True}},
+    {"residue_split": {"2": 1.5}},
+    {"residue_split": {"2": {"1/3": 0, "2/3": 1}}},  # not the object's keys
+    {"residue_split": {"2": "12"}},  # not the string's characters
+    {"partition": [[True, False]]},  # not the edges 1 and 0
+    {"residue_split": {"2": ["1/2", "1/2"], "4/2": ["1/3", "2/3"]}},  # one pole, two keys
+])
+def test_malformed_plan_is_a_schema_error(tmp_path, capsys, plan):
+    spectra = write(tmp_path / "s.json", TIED_SPECTRA)
+    out = tmp_path / "g.json"
+    argv = ["inverse-center", "--spectra", spectra, "--lengths", "2,1",
+            "--plan", write(tmp_path / "p.json", plan), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "E_SCHEMA"
+    assert not out.exists()
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("root", [["center"], ["pendant", "--main-length", "1"]])
+def test_huge_multiplicity_is_refused_before_it_is_expanded(tmp_path, root):
+    # one list slot per occurrence would need terabytes; the run is held to
+    # 1 GiB of address space, so an expansion ends in MemoryError
+    spectra = write(tmp_path / "s.json", {
+        "neumann_squared": [{"value": "1", "mult": 10 ** 12}],
+        "dirichlet_squared": [{"value": "2", "mult": 10 ** 12}],
+    })
+    out = tmp_path / "r.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "starstring.cli", "validate", "--root", *root,
+         "--spectra", spectra, "--lengths", "2,1", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(Path(starstring.__file__).parents[1])),
+        capture_output=True, text=True, timeout=120, preexec_fn=_limit_memory,
+    )
+    assert run.returncode == 2, run.stderr
+    assert "multiplicity" in [i["code"] for i in json.loads(out.read_text())["issues"]]
+
+
+def test_single_string_report_prints_rationals(tmp_path):
+    spectra = write(tmp_path / "s.json", {
+        "neumann_squared": [{"value": "10/3"}, {"value": "6"}],
+        "dirichlet_squared": [{"value": "10/3"}, {"value": "6"}],
+    })
+    out = tmp_path / "r.json"
+    assert main(["validate", "--spectra", spectra, "--lengths", "2", "--out", str(out)]) == 2
+    messages = [i["message"] for i in json.loads(out.read_text())["issues"]]
+    assert "single-string data must interlace strictly, shared [10/3, 6]" in messages

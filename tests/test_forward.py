@@ -1,5 +1,6 @@
 """Direct solver: ladder recurrences, characteristic polynomials, identities."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -165,8 +166,8 @@ class TestMonotonicity:
         g = StarGraph(Root.CENTER, F(1), (Edge((F(1),), ()), Edge((F(1),), ())))
         rep = neumann_monotonicity(g, [F(1), F(2)])
         assert rep.ok and rep.unresolved == 0
-        phi_1, _ = char_polys_center(g, central_mass=F(1))
-        phi_2, _ = char_polys_center(g, central_mass=F(2))
+        phi_1, _ = char_polys_center(replace(g, central_mass=F(1)))
+        phi_2, _ = char_polys_center(replace(g, central_mass=F(2)))
         assert spectrum_of(phi_1)[0][0].rat == 2
         assert spectrum_of(phi_2)[0][0].rat == 1
 

@@ -6,7 +6,7 @@ from math import lcm as _ilcm
 import pytest
 
 from starstring import matrixize
-from starstring.errors import InvariantViolation, RequiresPositiveCentralMass, SchemaError
+from starstring.errors import InvariantViolation, RequiresPositiveCentralMass
 from starstring.forward import char_polys_center
 from starstring.matrixize import (
     RationalMatrix,
@@ -36,7 +36,8 @@ def test_massless_edges_collapse_to_center_row():
     assert L.dim == 1
     assert L.entries == ((F(2),),)
     assert diag == (F(1),)
-    assert pencil_det(L, diag) == Poly([F(2), F(-1)])
+    full, _ = pencil_det(L, diag)
+    assert full == Poly([F(2), F(-1)])
 
 
 def test_requires_positive_mass():
@@ -49,16 +50,11 @@ def test_three_by_three_structure():
     g = StarGraph(Root.CENTER, F(1), (BEAD, BEAD))
     L, diag = build_pencil(g)
     assert L.dim == 3
-    assert L.is_symmetric()
+    assert L.entries == tuple(zip(*L.entries))
     assert diag == (F(1), F(1), F(1))
     assert L.entries[0] == (F(2), F(-1), F(-1))
     # masses on different edges are not coupled
     assert L.entries[1][2] == 0
-
-
-def test_symmetry_violation_detected():
-    m = RationalMatrix(((F(1), F(2)), (F(3), F(1))))
-    assert not m.is_symmetric()
 
 
 def det_rational(rows):
@@ -104,8 +100,8 @@ def test_pencil_matches_char_polys():
     g = StarGraph(Root.CENTER, F(1), (BEAD, BEAD))
     L, diag = build_pencil(g)
     phi_n, phi_d = char_polys_center(g)
-    assert pencil_det(L, diag).monic() == phi_n.monic()
-    sub = pencil_det(L.principal_submatrix(), diag[1:])
+    full, sub = pencil_det(L, diag)
+    assert full.monic() == phi_n.monic()
     assert sub.monic() == phi_d.monic()
 
 
@@ -113,10 +109,10 @@ def test_pencil_random_graphs(rng):
     for _ in range(15):
         g = random_center_graph(rng, q_max=4, max_masses=3, mass_choices=(1, 2, F(1, 2)))
         L, diag = build_pencil(g)
-        assert L.is_symmetric()
+        assert L.entries == tuple(zip(*L.entries))
         phi_n, phi_d = char_polys_center(g)
-        assert pencil_det(L, diag).monic() == phi_n.monic()
-        sub = pencil_det(L.principal_submatrix(), diag[1:])
+        full, sub = pencil_det(L, diag)
+        assert full.monic() == phi_n.monic()
         assert sub.monic() == phi_d.monic()
 
 
@@ -177,8 +173,7 @@ def _check_against_oracle(full, sub):
 
 
 def _determinants(graph):
-    L, diag = build_pencil(graph)
-    return pencil_det(L, diag), pencil_det(L.principal_submatrix(), diag[1:])
+    return pencil_det(*build_pencil(graph))
 
 
 def test_sequence_certificate_matches_oracle_on_pencils(rng):
@@ -303,20 +298,7 @@ def test_json_shape():
     assert obj["dim"] == 3
     assert obj["M_diag"] == ["1", "1", "1"]
     assert obj["L"][0] == ["2", "-1", "-1"]
-    assert RationalMatrix.from_json(obj["L"]) == L
-
-
-@pytest.mark.parametrize("obj, where", [
-    (["12", ["3", "4"]], "matrix[0]"),  # a string row is not split into digits
-    ([5], "matrix[0]"),
-    ([["1", "2"], None], "matrix[1]"),
-    ([{"a": 1}], "matrix[0]"),
-    ([["1", "2"], ["3", True]], "matrix[1][1]"),
-])
-def test_from_json_rows_must_be_arrays(obj, where):
-    with pytest.raises(SchemaError) as err:
-        RationalMatrix.from_json(obj)
-    assert str(err.value).startswith(where + ":")
+    assert tuple(tuple(F(c) for c in row) for row in obj["L"]) == L.entries
 
 
 def _pencil_at(L, diag, x):
@@ -325,18 +307,49 @@ def _pencil_at(L, diag, x):
 
 
 def test_pencil_det_matches_dense_determinant(rng):
+    """Both determinants on star pencils, on their principal submatrices (a
+    forest of several chains), and on pencils whose vertex 0 is isolated."""
     points = (F(0), F(1), F(-3, 2), F(7, 5), F(40))
     graphs = [random_center_graph(rng, q_max=5, max_masses=3, mass_choices=(1, F(3, 2)))
               for _ in range(10)]
     graphs += [duplicated_edge_center_graph(rng, copies=3, mass_choices=(1, 2)) for _ in range(5)]
     assert any(e.mass_count == 0 for g in graphs for e in g.edges)
+    pencils = []
+    forests = 0
     for g in graphs:
         L, diag = build_pencil(g)
-        for M, d in ((L, diag), (L.principal_submatrix(), diag[1:])):
-            p = pencil_det(M, d)
-            assert p.degree == M.dim
-            for x in points:
-                assert p.eval(x) == det_rational(_pencil_at(M, d, x))
+        pencils.append((L, diag))
+        if L.dim > 1:
+            pencils.append((RationalMatrix(tuple(row[1:] for row in L.entries[1:])), diag[1:]))
+            # one chain per edge with masses, each coupled to the centre row
+            forests += sum(1 for c in L.entries[0][1:] if c) >= 2
+        isolated = ((F(3),) + (F(0),) * L.dim,) + tuple((F(0),) + row for row in L.entries)
+        pencils.append((RationalMatrix(isolated), (F(2),) + diag))
+    assert forests >= 5
+    for M, d in pencils:
+        full, sub = pencil_det(M, d)
+        assert full.degree == M.dim and sub.degree == M.dim - 1
+        for x in points:
+            dense = _pencil_at(M, d, x)
+            assert full.eval(x) == det_rational(dense)
+            assert sub.eval(x) == det_rational([row[1:] for row in dense[1:]])
+
+
+def test_interlacing_certificate_runs_one_elimination(monkeypatch):
+    calls = []
+
+    def counted(L, diag):
+        calls.append(L)
+        return pencil_det(L, diag)
+
+    monkeypatch.setattr(matrixize, "pencil_det", counted)
+    assert interlacing_certificate(*build_pencil(StarGraph(Root.CENTER, F(1), (BEAD, BEAD)))).ok
+    assert len(calls) == 1
+
+
+def test_pencil_det_refuses_an_empty_pencil():
+    with pytest.raises(InvariantViolation):
+        pencil_det(RationalMatrix(()), ())
 
 
 def test_pencil_det_rejects_cyclic_pattern():

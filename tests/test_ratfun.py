@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starstring.errors import BadShape, IrrationalPole, NotStieltjes, RangeError
+from starstring.errors import BadShape, NotStieltjes
 from starstring.inverse_center import build_psi
 from starstring.inverse_pendant import build_phi
 from starstring.model import SpectrumPair
@@ -16,14 +17,13 @@ from starstring.ratfun import (
     RationalFunction,
     StieltjesCF,
     cf_expand,
-    cf_tail,
     cf_to_ratfun,
     partial_fractions,
     partial_fractions_at,
-    smallest_zero,
     split_proper_by_factors,
-    validate_s0,
 )
+from starstring.roots import isolate_real_roots
+from tests.conftest import occurrences
 
 
 def P(*coeffs):
@@ -54,36 +54,52 @@ class TestNormalize:
         assert cancelled == P(-1, 1)
 
 
+def is_s0(f):
+    """The S0 verdict by isolating f's zeros and poles: the oracle for the
+    certificate of ``cf_expand``.  Both must be real, simple and positive
+    and interlace strictly from a pole; the limit at infinity is positive
+    (as many zeros as poles) or 0 reached from below (one zero fewer)."""
+    if f.is_zero:
+        return False
+    num, den = f.num, f.den
+    lead = num.lc / den.lc
+    if num.degree == den.degree:
+        if lead < 0:
+            return False
+    elif num.degree != den.degree - 1 or lead > 0:
+        return False
+    zeros = occurrences(isolate_real_roots(num, None, None))
+    poles = occurrences(isolate_real_roots(den, None, None))
+    if len(zeros) != num.degree or len(poles) != den.degree:
+        return False
+    chain = [r for pair in zip_longest(poles, zeros) for r in pair if r is not None]
+    return not chain or chain[0].compare(F(0)) > 0 and all(
+        a.compare(b) < 0 for a, b in zip(chain, chain[1:]))
+
+
 class TestValidateS0:
     def test_worked_example(self):
-        report = validate_s0(EXAMPLE_F)
-        assert report.valid
-        assert report.a0 == 1
-        assert len(report.poles) == 2 and len(report.zeros) == 2
+        assert is_s0(EXAMPLE_F)
+        assert EXAMPLE_F.num.degree == EXAMPLE_F.den.degree
+        assert EXAMPLE_F.num.lc / EXAMPLE_F.den.lc == 1
         # poles interlace with zeros starting from a pole
-        chain = [report.poles[0], report.zeros[0], report.poles[1], report.zeros[1]]
+        poles = occurrences(isolate_real_roots(EXAMPLE_F.den, None, None))
+        zeros = occurrences(isolate_real_roots(EXAMPLE_F.num, None, None))
+        chain = [poles[0], zeros[0], poles[1], zeros[1]]
         for a, b in zip(chain, chain[1:]):
             assert a.compare(b) < 0
 
     def test_proper_with_zero_limit(self):
-        report = validate_s0(RationalFunction(P(1), P(1, -1)))
-        assert report.valid and report.a0 == 0
+        f = RationalFunction(P(1), P(1, -1))
+        assert is_s0(f) and f.num.degree < f.den.degree
 
     def test_double_pole_rejected(self):
-        report = validate_s0(RationalFunction(P(-2, 1), P(1, -2, 1)))
-        assert not report.valid
-        assert any("multiple pole" in i for i in report.issues)
-
-    def test_report_json_shape(self):
-        obj = validate_s0(EXAMPLE_F).to_json()
-        assert obj["valid"] is True and obj["a0"] == "1"
-        assert [p["value"] for p in obj["poles"]] == ["1/2", "3/2"]
-        assert [z["value"] for z in obj["zeros"]] == ["1", "2"]
+        assert not is_s0(RationalFunction(P(-2, 1), P(1, -2, 1)))
 
     def test_zero_limit_from_above_rejected(self):
         # 3/(z - 1) tends to 0 from above: no Stieltjes expansion
-        report = validate_s0(RationalFunction(P(3), P(-1, 1)))
-        assert not report.valid and report.a0 == 0
+        f = RationalFunction(P(3), P(-1, 1))
+        assert not is_s0(f) and f.num.degree < f.den.degree
         with pytest.raises(NotStieltjes):
             cf_expand(RationalFunction(P(3), P(-1, 1)))
 
@@ -105,7 +121,7 @@ def random_function(rng):
 
 
 def test_cf_expand_agrees_with_validate_s0(rng):
-    """cf_expand raises NotStieltjes exactly when validate_s0 finds an issue."""
+    """cf_expand raises NotStieltjes exactly when the isolating oracle finds f not S0."""
     disagreements = []
     for _ in range(2000):
         f = random_function(rng)
@@ -114,7 +130,7 @@ def test_cf_expand_agrees_with_validate_s0(rng):
             expands = True
         except NotStieltjes:
             expands = False
-        if expands != validate_s0(f).valid:
+        if expands != is_s0(f):
             disagreements.append(f)
     assert disagreements == []
 
@@ -166,7 +182,7 @@ class TestContinuedFraction:
             )
             f = cf_to_ratfun(cf)
             assert f.eval(F(0)) == sum(cf.a)
-            assert f.value_at_infinity() == cf.a[0]
+            assert f.num.degree == f.den.degree and f.num.lc / f.den.lc == cf.a[0]
 
     def test_interlacing_of_folded_cf(self, rng):
         for _ in range(10):
@@ -175,9 +191,7 @@ class TestContinuedFraction:
                 tuple(F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(p + 1)),
                 tuple(F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(p)),
             )
-            f = cf_to_ratfun(cf)
-            report = validate_s0(f)
-            assert report.valid
+            assert is_s0(cf_to_ratfun(cf))
 
     def test_not_s0_rejected(self):
         # zeros/poles out of order: (z-2)/(z-1) has pole before zero -> fine;
@@ -191,17 +205,6 @@ class TestContinuedFraction:
 
 
 class TestTails:
-    def test_worked_example_tail(self):
-        assert cf_tail(EXAMPLE_CF, 1) == StieltjesCF((F(4, 3), F(1, 3)), (F(3),))
-
-    def test_identity_and_last(self):
-        assert cf_tail(EXAMPLE_CF, 0) == EXAMPLE_CF
-        assert cf_tail(EXAMPLE_CF, 2) == StieltjesCF((F(1, 3),), ())
-
-    def test_out_of_range(self):
-        with pytest.raises(RangeError):
-            cf_tail(EXAMPLE_CF, 3)
-
     def test_tail_zero_monotonicity(self, rng):
         checked = 0
         while checked < 100:
@@ -211,12 +214,12 @@ class TestTails:
                 (a0,) + tuple(F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(p)),
                 tuple(F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(p)),
             )
-            prev = smallest_zero(cf_to_ratfun(cf))
+            prev = isolate_real_roots(cf_to_ratfun(cf).num, 0, None)
             for i in range(1, p):
-                cur = smallest_zero(cf_to_ratfun(cf_tail(cf, i)))
-                if prev is None or cur is None:
+                cur = isolate_real_roots(cf_to_ratfun(StieltjesCF(cf.a[i:], cf.b[i:])).num, 0, None)
+                if not prev or not cur:
                     break
-                c = cur.compare(prev)
+                c = cur[0][0].compare(prev[0][0])
                 if i == 1 and a0 == 0:
                     assert c >= 0
                 else:
@@ -229,14 +232,15 @@ class TestPartialFractions:
     def test_worked_example(self):
         # 3(1-z)/(2-z) = 3/(z-2) + 3
         f = RationalFunction(P(3, -3), P(2, -1))
-        pf = partial_fractions(f)
+        pf, cluster = partial_fractions(f)
+        assert cluster.is_zero
         assert pf.linear_coeff == 0
         assert pf.terms == ((F(2), F(3)),)
         assert pf.constant == 3
 
     def test_linear_part(self):
         f = RationalFunction(P(0, -1), ONE) + RationalFunction(P(1), P(-1, 1))
-        pf = partial_fractions(f)
+        pf, _ = partial_fractions(f)
         assert pf.linear_coeff == 1
         assert pf.terms == ((F(1), F(1)),)
         assert pf.constant == 0
@@ -249,7 +253,8 @@ class TestPartialFractions:
         for _ in range(25):
             spectra, lengths, q, m_positive = random_center_spectral_data(rng)
             psi = build_psi(spectra, lengths)
-            pf = partial_fractions(psi)
+            pf, cluster = partial_fractions(psi)
+            assert cluster.is_zero
             assert (pf.linear_coeff > 0) == m_positive
             assert all(r > 0 for _, r in pf.terms)
             assert pf.reassemble() == psi
@@ -258,14 +263,50 @@ class TestPartialFractions:
             assert pf.constant == expected_b
 
     def test_irrational_pole_refused(self):
+        # z^2 - 2 has the pole -sqrt(2)
         f = RationalFunction(P(1), P(-2, 0, 1))
-        with pytest.raises(IrrationalPole):
+        with pytest.raises(NotStieltjes):
             partial_fractions(f)
+
+    def test_irrational_poles_form_the_cluster(self):
+        # 2 -+ sqrt(2) stay together; 1 is split off
+        cluster = RationalFunction(P(1), P(2, -4, 1))
+        f = cluster + RationalFunction(P(2), P(-1, 1))
+        pf, got = partial_fractions(f)
+        assert pf.terms == ((F(1), F(2)),) and got == cluster
 
     def test_multiple_pole_refused(self):
         f = RationalFunction(P(1), P(1, -2, 1))
-        with pytest.raises(BadShape):
+        with pytest.raises(NotStieltjes):
             partial_fractions(f)
+
+    @pytest.mark.parametrize("den", [P(1, 1), P(1, 0, 1), P(0, 1)],
+                             ids=["negative", "complex", "zero"])
+    def test_nonpositive_and_complex_poles_refused(self, den):
+        with pytest.raises(NotStieltjes):
+            partial_fractions(RationalFunction(P(1), den))
+
+    def test_poles_split_into_residues_and_a_cluster(self):
+        rng = random.Random(14)
+        # positive irrational root pairs: 2 -+ sqrt(2), 3 -+ sqrt(2), (5 -+ sqrt(5))/2, (3 -+ sqrt(8))/2
+        quadratics = (P(2, -4, 1), P(7, -6, 1), P(5, -5, 1), P(F(1, 4), -3, 1))
+        mixed = 0
+        for _ in range(60):
+            poles = sorted({F(rng.randint(1, 40), rng.randint(1, 5)) for _ in range(rng.randint(0, 4))})
+            terms = tuple((v, F(rng.randint(1, 30), rng.randint(1, 7))) for v in poles)
+            cluster = RationalFunction(Poly(), ONE)
+            for d in rng.sample(quadratics, rng.randint(0, 3)):
+                cluster = cluster + RationalFunction(P(rng.randint(1, 5), rng.randint(-5, 5)), d)
+            linear = rng.choice((F(0), F(rng.randint(1, 9), rng.randint(1, 4))))
+            f = PartialFractions(linear, terms, F(rng.randint(-9, 9), 2)).reassemble() + cluster
+            pf, got = partial_fractions(f)
+            assert pf.reassemble() + got == f
+            assert (pf.linear_coeff, pf.terms, got) == (linear, terms, cluster)
+            assert all(r > 0 for _, r in pf.terms)
+            if got.den.degree:
+                assert not any(rv.is_rational for rv, _ in isolate_real_roots(got.den, None, None))
+                mixed += bool(terms)
+        assert mixed >= 10
 
     def test_known_pole_variant_rejects_wrong_poles(self):
         f = RationalFunction(P(3, -3), P(2, -1))
@@ -273,7 +314,7 @@ class TestPartialFractions:
             partial_fractions_at(f, [F(3)])
 
     def test_partial_fractions_json(self):
-        pf = partial_fractions(RationalFunction(P(3, -3), P(2, -1)))
+        pf, _ = partial_fractions(RationalFunction(P(3, -3), P(2, -1)))
         assert pf.to_json() == {
             "linear_coeff": "0",
             "terms": [{"pole": "2", "residue": "3"}],
