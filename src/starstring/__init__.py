@@ -15,18 +15,13 @@ from .errors import (
     StarStringError,
 )
 from .forward import (
-    CauerPair,
-    Flavor,
     branching_quotient,
     center_quotient,
     center_quotient_identity,
-    char_polys_center,
-    char_polys_pendant,
+    char_polys,
     edge_cauer_polys,
     edge_quotient,
-    graph_spectra,
     lagrange_check,
-    main_cauer_polys,
     neumann_monotonicity,
     pendant_quotient,
     pendant_subgraph_identities,

@@ -105,6 +105,12 @@ def _parse_length(text, flag):
     return value
 
 
+def _pendant_main_length(args):
+    if args.main_length is None:
+        raise SchemaError("--main-length is required for pendant validation")
+    return _parse_length(args.main_length, "--main-length")
+
+
 def _parse_lengths(text):
     items = [s.strip() for s in text.split(",")]
     if not all(items):
@@ -199,7 +205,7 @@ def _cmd_forward(args):
     if not 0 <= args.digits <= MAX_DIGITS:
         raise RangeError(f"--digits must be in [0, {MAX_DIGITS}], got {args.digits}")
     graph = parse_graph(_read(args.graph, "graph"))
-    phi_n, phi_d = fwd._char_polys(graph)
+    phi_n, phi_d = fwd.char_polys(graph)
     neumann, dirichlet = fwd.spectrum_of(phi_n), fwd.spectrum_of(phi_d)
     _write(args, "", _dump(_spectra_json(neumann, dirichlet, args)))
     if args.emit_polys:
@@ -267,10 +273,7 @@ def _cmd_validate(args):
     if args.root == "center":
         report = ic.validate_center(spectra, len(lengths))
     else:
-        if args.main_length is None:
-            raise SchemaError("--main-length is required for pendant validation")
-        main_length = _parse_length(args.main_length, "--main-length")
-        report = ip.validate_pendant(spectra, main_length, lengths)
+        report = ip.validate_pendant(spectra, _pendant_main_length(args), lengths)
     _write(args, "", _dump(report.to_json()))
     return 0 if report.valid else 2
 
@@ -283,7 +286,7 @@ def _roundtrip_graph(graph):
         # edge left with factor 1 comes back massless
         factors, taken = [], ONE
         for e in graph.edges:
-            f = fwd.edge_cauer_polys(e, fwd.Flavor.DIRICHLET_END).even.monic()
+            f = fwd.edge_cauer_polys(e)[0].monic()
             f = f.divexact(poly_gcd(f, taken))
             factors.append(f)
             taken = taken * f
@@ -307,11 +310,10 @@ def _roundtrip_graph(graph):
 
 def _roundtrip_spectra(args, spectra, lengths):
     if args.root == "pendant":
-        main_length = _parse_length(args.main_length, "--main-length")
-        rec = ip.reconstruct_pendant(spectra, main_length, lengths)
+        rec = ip.reconstruct_pendant(spectra, _pendant_main_length(args), lengths)
     else:
         rec = ic.reconstruct_center(spectra, lengths)
-    phi_n, phi_d = fwd._char_polys(rec.graph)
+    phi_n, phi_d = fwd.char_polys(rec.graph)
     ok = all(
         phi.monic() == Poly.from_linear_roots([v for v, m in values for _ in range(m)])
         for phi, values in ((phi_n, spectra.neumann_sq), (phi_d, spectra.dirichlet_sq))
@@ -346,9 +348,16 @@ def _cmd_matrix(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as E_SCHEMA, like any other input error."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 @cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="starstring",
         description="Direct and inverse Dirichlet/Neumann spectral problems "
                     "for star graphs of Stieltjes strings (exact arithmetic).",
@@ -413,11 +422,11 @@ def _error(code, message):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    args.written = set()
-    # looked up on every call, so the subcommand is always this module's current one
-    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
+        args = _build_parser().parse_args(argv)
+        args.written = set()
+        # looked up on every call, so the subcommand is always this module's current one
+        command = globals()["_cmd_" + args.command.replace("-", "_")]
         try:
             status = command(args)
         except (InvariantViolation, PlanInfeasible) as exc:

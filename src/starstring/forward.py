@@ -1,116 +1,79 @@
 """Direct spectral solver for star graphs of Stieltjes strings.
 
-Each edge carries the three-term ladder recurrence
+Every polynomial here comes from one three-term ladder recurrence,
+``ratfun._ladder``:
 
     R_{2k-1} = -z * m_k * R_{2k-2} + R_{2k-3}
     R_{2k}   =      l_k * R_{2k-1} + R_{2k-2}
 
-seeded with R_0 = 1 and R_{-1} = 1/l_seed (clamped seed end) or R_{-1} = 0
-(free seed end).  The recurrence starts at the far end of the edge and
-moves toward the vertex whose driving-point function even/odd describes:
-the centre for the star edges, the root for the main edge.  Zeros of the
-final "even" polynomial give the spectrum with that vertex clamped, zeros
-of "odd" the spectrum with it free.
+A star edge runs it from its clamped pendant end, seeded with
+(R_0, R_{-1}) = (1, 1/l), to the centre, where even/odd is the edge's
+driving-point function.  The edges join at the centre under continuity
+and Kirchhoff's condition into one pair (D, N), D = prod even_j and
+N/D = sum odd_j/even_j, and the ladder goes on from that seed with the
+central mass M as its first mass.  A centre root takes the single step
+(M, 0) and ends at (phi_D, phi_N); a pendant root carries the fraction
+out along the main edge, steps (M, l_n), (m_{n-1}, l_{n-1}), ...,
+(m_0, l_0), and ends at (l_0 * phi_D, phi_N).  Zeros of phi_N give the
+spectrum with the root free, zeros of phi_D with it clamped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
 
 from .errors import InvariantViolation
 from .model import Root
-from .poly import ONE, Poly, poly_gcd, squarefree_factor
-from .ratfun import RationalFunction, _cauer_sequence
+from .poly import ONE, ZERO, Poly, poly_gcd, squarefree_factor
+from .ratfun import RationalFunction, _ladder
 from .roots import isolate_real_roots
 
 
-class Flavor(Enum):
-    DIRICHLET_END = "dirichlet_end"
-    NEUMANN_END = "neumann_end"
-
-
-@dataclass(frozen=True)
-class CauerPair:
-    """Final ladder polynomials (R_{2n}, R_{2n-1}) of one edge."""
-
-    even: Poly
-    odd: Poly
-
-
-def edge_cauer_polys(edge, flavor=Flavor.DIRICHLET_END):
-    """Ladder pair of a star edge, seen from the central vertex.
-
-    The seed end is the pendant (the far end of the stored interval list);
-    DIRICHLET_END clamps it, NEUMANN_END frees it.
-    """
-    seed = 1 / edge.lengths[-1] if flavor is Flavor.DIRICHLET_END else None
+def edge_cauer_polys(edge):
+    """Ladder pair (even, odd) of a star edge clamped at its pendant end
+    (the far end of the stored interval list), seen from the centre."""
     steps = zip(reversed(edge.masses), reversed(edge.lengths[:-1]))
-    even, odd = _cauer_sequence(seed, steps)[-1]
-    return CauerPair(even, odd)
-
-
-def main_cauer_polys(edge, flavor=Flavor.DIRICHLET_END):
-    """Ladder pair of the main edge, seen from the central vertex.
-
-    The seed end is the root: DIRICHLET_END clamps the root (finite seed
-    interval lengths[0]), NEUMANN_END frees it (the "infinite seed" family).
-    """
-    seed = 1 / edge.lengths[0] if flavor is Flavor.DIRICHLET_END else None
-    steps = zip(edge.masses, edge.lengths[1:])
-    even, odd = _cauer_sequence(seed, steps)[-1]
-    return CauerPair(even, odd)
+    return _ladder(ONE, Poly.constant(1 / edge.lengths[-1]), steps)
 
 
 def edge_quotient(edge):
     """Driving-point function even/odd of a star edge at the centre."""
-    pair = edge_cauer_polys(edge, Flavor.DIRICHLET_END)
     # the ladder steps have determinant 1 and the seed pair (1, 1/l) is coprime
-    return RationalFunction.from_coprime(pair.even, pair.odd)
+    return RationalFunction.from_coprime(*edge_cauer_polys(edge))
 
 
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 
 
-def _center_char_polys(edges, central_mass):
-    """(phi_N, phi_D) of a centre-rooted star with the given central mass."""
-    # N/D = sum_j odd_j/even_j, folded edge by edge; phi_N = N - M*z*phi_D
-    num, den = Poly(), ONE
+def _join(edges):
+    """(D, N) of the edges joined at the centre: D = prod even_j and
+    N/D = sum odd_j/even_j."""
+    num, den = ZERO, ONE
     for e in edges:
-        pair = edge_cauer_polys(e, Flavor.DIRICHLET_END)
-        num, den = num * pair.even + pair.odd * den, den * pair.even
-    return num - Poly([0, central_mass]) * den, den
+        even, odd = edge_cauer_polys(e)
+        num, den = num * even + odd * den, den * even
+    return den, num
 
 
-def char_polys_center(graph):
-    """Neumann and Dirichlet characteristic polynomials, centre root."""
-    if graph.root is not Root.CENTER:
-        raise InvariantViolation("char_polys_center needs a centre-rooted graph")
-    return _center_char_polys(graph.edges, graph.central_mass)
-
-
-def char_polys_pendant(graph):
-    """(phi at clamped root, phi at free root) for a pendant-rooted star.
-
-    Both have degree equal to the total mass count (central mass included
-    when positive); the degree is checked, not assumed.
-    """
-    if graph.root is not Root.PENDANT:
-        raise InvariantViolation("char_polys_pendant needs a pendant-rooted graph")
-    sub_n, sub_d = _center_char_polys(graph.edges, graph.central_mass)
-    main_d = main_cauer_polys(graph.main_edge, Flavor.DIRICHLET_END)
-    main_n = main_cauer_polys(graph.main_edge, Flavor.NEUMANN_END)
-    phi_root_dirichlet = main_d.even * sub_n + main_d.odd * sub_d
-    phi_root_neumann = main_n.even * sub_n + main_n.odd * sub_d
+def char_polys(graph):
+    """(phi_N, phi_D): the characteristic polynomials with the root free
+    and clamped.  At a pendant root both must have degree equal to the
+    mass count, central mass included when positive."""
+    den, num = _join(graph.edges)
+    if graph.root is Root.CENTER:
+        phi_d, phi_n = _ladder(den, num, [(graph.central_mass, 0)])
+        return phi_n, phi_d
+    main = graph.main_edge
+    steps = zip((graph.central_mass, *reversed(main.masses)), reversed(main.lengths))
+    scaled, phi_n = _ladder(den, num, steps)
+    phi_d = scaled.scale(1 / main.lengths[0])
     n = graph.spectral_size
-    if phi_root_dirichlet.degree != n or phi_root_neumann.degree != n:
-        raise InvariantViolation(
-            f"pendant characteristic polynomials have degrees {phi_root_dirichlet.degree}"
-            f" and {phi_root_neumann.degree}, expected {n}"
-        )
-    return phi_root_dirichlet, phi_root_neumann
+    if phi_d.degree != n or phi_n.degree != n:
+        raise InvariantViolation(f"pendant characteristic polynomials have degrees "
+                                 f"{phi_d.degree} and {phi_n.degree}, expected {n}")
+    return phi_n, phi_d
 
 
 def spectrum_of(p, classify_rational=True):
@@ -120,23 +83,22 @@ def spectrum_of(p, classify_rational=True):
     return isolate_real_roots(p, Fraction(0), None, classify_rational)
 
 
-def _char_polys(graph):
-    """(phi_N, phi_D) of either root; at a pendant root the clamped-root
-    polynomial carries the Dirichlet spectrum."""
-    if graph.root is Root.CENTER:
-        return char_polys_center(graph)
-    phi_d, phi_n = char_polys_pendant(graph)
-    return phi_n, phi_d
-
-
-def graph_spectra(graph):
-    """(neumann_roots, dirichlet_roots) of the graph's two problems."""
-    phi_n, phi_d = _char_polys(graph)
-    return spectrum_of(phi_n), spectrum_of(phi_d)
-
-
 # ---------------------------------------------------------------------------
 # structural identities (diagnostics / property-test surface)
+
+
+def _root_ladders(main_edge, k=None):
+    """Ladder pairs of the main edge after its first k steps (all of them
+    by default) from a clamped root, seed (1, 1/l0), and from a free root,
+    seed (1, 0)."""
+    steps = list(zip(main_edge.masses, main_edge.lengths[1:]))[:k]
+    return [_ladder(ONE, seed, steps) for seed in (Poly.constant(1 / main_edge.lengths[0]), ZERO)]
+
+
+def _subgraph_polys(graph):
+    """(sub_D, sub_N) of the centre-rooted star that the non-main edges
+    and the central mass form."""
+    return _ladder(*_join(graph.edges), [(graph.central_mass, 0)])
 
 
 def lagrange_check(main_edge):
@@ -145,12 +107,9 @@ def lagrange_check(main_edge):
     even_k(clamped) * odd_k(free) - odd_k(clamped) * even_k(free) == -1/l0
     for all k = 0..n.  Returns (ok, first failing k or None).
     """
-    l0 = main_edge.lengths[0]
-    steps = list(zip(main_edge.masses, main_edge.lengths[1:]))
-    seq_d = _cauer_sequence(1 / l0, steps)
-    seq_n = _cauer_sequence(None, steps)
-    target = Poly.constant(Fraction(-1, 1) / l0)
-    for k, ((ed, od), (en, on)) in enumerate(zip(seq_d, seq_n)):
+    target = Poly.constant(-1 / main_edge.lengths[0])
+    for k in range(main_edge.mass_count + 1):
+        (ed, od), (en, on) = _root_ladders(main_edge, k)
         if ed * on - od * en != target:
             return False, k
     return True, None
@@ -158,16 +117,14 @@ def lagrange_check(main_edge):
 
 def total_length_identity(main_edge):
     """Total length from the two ladder flavours evaluated at zero."""
-    pair_d = main_cauer_polys(main_edge, Flavor.DIRICHLET_END)
-    pair_n = main_cauer_polys(main_edge, Flavor.NEUMANN_END)
+    (even_d, _), (even_n, _) = _root_ladders(main_edge)
     l0 = main_edge.lengths[0]
-    lhs = main_edge.total_length
-    return lhs == l0 * pair_d.even.eval(0) / pair_n.even.eval(0)
+    return main_edge.total_length == l0 * even_d.eval(0) / even_n.eval(0)
 
 
 def center_quotient(graph):
     """Canonical phi_D/phi_N with the cancelled common factor."""
-    phi_n, phi_d = char_polys_center(graph)
+    phi_n, phi_d = char_polys(graph)
     return RationalFunction.make(phi_d, phi_n)
 
 
@@ -182,7 +139,7 @@ def center_quotient_identity(graph):
 
 def pendant_quotient(graph):
     """Canonical l0 * phi(clamped root)/phi(free root) with cancelled factor."""
-    phi_d, phi_n = char_polys_pendant(graph)
+    phi_n, phi_d = char_polys(graph)
     l0 = graph.main_edge.lengths[0]
     return RationalFunction.make(phi_d.scale(l0), phi_n)
 
@@ -190,13 +147,12 @@ def pendant_quotient(graph):
 def pendant_subgraph_identities(graph):
     """The two cross-multiplied ladder identities tying the main edge
     to the characteristic polynomials of the q-1 edge subgraph."""
-    phi_d, phi_n = char_polys_pendant(graph)
-    sub_n, sub_d = _center_char_polys(graph.edges, graph.central_mass)
-    main_d = main_cauer_polys(graph.main_edge, Flavor.DIRICHLET_END)
-    main_n = main_cauer_polys(graph.main_edge, Flavor.NEUMANN_END)
+    phi_n, phi_d = char_polys(graph)
+    sub_d, sub_n = _subgraph_polys(graph)
+    (even_d, odd_d), (even_n, odd_n) = _root_ladders(graph.main_edge)
     l0 = graph.main_edge.lengths[0]
-    first = (phi_d * main_n.even - phi_n * main_d.even).scale(l0) == sub_d
-    second = (phi_n * main_d.odd - phi_d * main_n.odd).scale(l0) == sub_n
+    first = (phi_d * even_n - phi_n * even_d).scale(l0) == sub_d
+    second = (phi_n * odd_d - phi_d * odd_n).scale(l0) == sub_n
     return first, second
 
 
@@ -239,8 +195,8 @@ def common_zero_accounting(graph):
     the two polynomials and the multiplicities of h in the subgraph's
     Neumann and Dirichlet polynomials.
     """
-    phi_d, phi_n = char_polys_pendant(graph)
-    sub_n, sub_d = _center_char_polys(graph.edges, graph.central_mass)
+    phi_n, phi_d = char_polys(graph)
+    sub_d, sub_n = _subgraph_polys(graph)
     g = poly_gcd(phi_d, phi_n)
     records = []
     if g.degree == 0:
@@ -283,7 +239,7 @@ def neumann_monotonicity(graph, mass_values):
     masses = sorted(Fraction(m) for m in mass_values)
     spectra = []
     for m in masses:
-        phi_n, _ = char_polys_center(replace(graph, central_mass=m))
+        phi_n, _ = char_polys(replace(graph, central_mass=m))
         roots = spectrum_of(phi_n, classify_rational=False)
         spectra.append([rv for rv, mult in roots for _ in range(mult)])
     comparisons = 0

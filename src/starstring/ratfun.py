@@ -8,12 +8,13 @@ from below when it is 0) admits a unique alternating continued fraction
 
 with a0 >= 0 and all other coefficients strictly positive.  For a
 Stieltjes string the a_k are its interval lengths and the b_k its point
-masses, and f is even/odd of the ladder recurrence ``_cauer_sequence``.
-``cf_to_ratfun`` folds the coefficients into that recurrence;
-``cf_expand`` runs it backwards, peeling one ladder step per level off the
-numerator and denominator.  It doubles as the S0 certificate: any
-positivity or degree-pattern failure along the way proves the input was
-not S0.
+masses, and f is even/odd of the ladder recurrence ``_ladder``, the one
+three-term recurrence of the package: it also builds every edge's pair and
+both characteristic polynomials of a star (``forward``).  ``cf_to_ratfun``
+folds the coefficients into that recurrence; ``cf_expand`` runs it
+backwards, peeling one ladder step per level off the numerator and
+denominator.  It doubles as the S0 certificate: any positivity or
+degree-pattern failure along the way proves the input was not S0.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class StieltjesCF:
 def cf_expand(f):
     """Expand a rational S0-function into its Stieltjes continued fraction.
 
-    Each level peels one step of the ladder recurrence (``_cauer_sequence``)
+    Each level peels one step of the ladder recurrence (``_ladder``)
     off num/den: the constant a = lc(num)/lc(den), or 0 when deg den is one
     higher, leaves num - a*den; the slope s = lc(den)/lc(num) of the simple
     pole at infinity of the reciprocal leaves den - s*z*num, and b = -s.
@@ -217,24 +218,20 @@ def cf_expand(f):
     return StieltjesCF(tuple(a), tuple(b))
 
 
-def _cauer_sequence(seed_inverse, steps):
-    """All ladder pairs (R_{2k}, R_{2k-1}) for k = 0..n of the recurrence
+def _ladder(even, odd, steps):
+    """Final pair (R_{2n}, R_{2n-1}) of the ladder recurrence
 
         R_{2k-1} = -z * m_k * R_{2k-2} + R_{2k-3}
         R_{2k}   =      l_k * R_{2k-1} + R_{2k-2}
 
-    seeded with R_0 = 1 and R_{-1} = ``seed_inverse``, or 0 for None.
-    ``steps`` yields the (m_k, l_k) pairs.  Each step has determinant 1,
-    so every pair is as coprime as the seed pair.
+    from the seed pair (R_0, R_{-1}) = (even, odd); ``steps`` yields the
+    (m_k, l_k) pairs.  Each step has determinant 1, so the final pair is as
+    coprime as the seed pair.
     """
-    odd = Poly.constant(seed_inverse) if seed_inverse is not None else Poly()
-    even = ONE
-    out = [(even, odd)]
     for mass, length in steps:
         odd = Poly([0, -mass]) * even + odd
         even = odd.scale(length) + even
-        out.append((even, odd))
-    return out
+    return even, odd
 
 
 def cf_to_ratfun(cf):
@@ -244,8 +241,7 @@ def cf_to_ratfun(cf):
     turns f_k into a_{k-1} + 1/(-b_k z + 1/f_k), so k = p..1 ends at f_0.
     """
     steps = zip(reversed(cf.b), reversed(cf.a[:-1]))
-    even, odd = _cauer_sequence(1 / cf.a[-1], steps)[-1]
-    return RationalFunction.from_coprime(even, odd)
+    return RationalFunction.from_coprime(*_ladder(ONE, Poly.constant(1 / cf.a[-1]), steps))
 
 
 # ---------------------------------------------------------------------------

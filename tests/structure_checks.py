@@ -3,8 +3,7 @@
 from starstring.forward import (
     branching_quotient,
     center_quotient_identity,
-    char_polys_center,
-    char_polys_pendant,
+    char_polys,
     common_zero_accounting,
     lagrange_check,
     pendant_quotient,
@@ -17,7 +16,7 @@ from tests.conftest import occurrences
 
 def check_center_interlacing(graph):
     """Interlacing chain, tie condition, multiplicity caps, neighbour simplicity."""
-    phi_n, phi_d = char_polys_center(graph)
+    phi_n, phi_d = char_polys(graph)
     lam_roots = spectrum_of(phi_n, classify_rational=False)
     zet_roots = spectrum_of(phi_d, classify_rational=False)
     lam = occurrences(lam_roots)
@@ -51,7 +50,7 @@ def check_center_identities(graph):
 
 
 def check_pendant_interlacing(graph):
-    phi_d, phi_n = char_polys_pendant(graph)
+    phi_n, phi_d = char_polys(graph)
     mu_roots = spectrum_of(phi_n, classify_rational=False)
     lam_roots = spectrum_of(phi_d, classify_rational=False)
     mu = occurrences(mu_roots)

@@ -198,11 +198,16 @@ def test_inverse_pendant_enumerate(ex_files):
     assert constraints["subgraph_report"]["valid"] is True
 
 
+# with --main-length 1/3 and --lengths 3,1, the subgraph quotient's poles
+# are an irrational, 20 and an irrational
+MIXED_SPECTRA = {
+    "neumann_squared": [{"value": v, "mult": 1} for v in ("7/2", "33/2", "30")],
+    "dirichlet_squared": [{"value": v, "mult": 1} for v in ("4", "19", "39")],
+}
+
+
 def test_inverse_pendant_enumerate_irrational_subgraph(tmp_path):
-    spectra = write(tmp_path / "s.json", {
-        "neumann_squared": [{"value": v, "mult": 1} for v in ("7/2", "33/2", "30")],
-        "dirichlet_squared": [{"value": v, "mult": 1} for v in ("4", "19", "39")],
-    })
+    spectra = write(tmp_path / "s.json", MIXED_SPECTRA)
     out = tmp_path / "graph.json"
     code = main([
         "inverse-pendant", "--spectra", spectra, "--main-length", "1/3",
@@ -542,3 +547,50 @@ def test_single_string_report_prints_rationals(tmp_path):
     assert main(["validate", "--spectra", spectra, "--lengths", "2", "--out", str(out)]) == 2
     messages = [i["message"] for i in json.loads(out.read_text())["issues"]]
     assert "single-string data must interlace strictly, shared [10/3, 6]" in messages
+
+
+@pytest.mark.parametrize("plan", [{"partition": [[0]]}, {"residue_split": {"20": ["1/2", "1/2"]}}])
+def test_user_plan_on_irrational_subgraph_poles_is_refused(tmp_path, capsys, plan):
+    spectra = write(tmp_path / "s.json", MIXED_SPECTRA)
+    out = tmp_path / "g.json"
+    argv = ["inverse-pendant", "--spectra", spectra, "--main-length", "1/3", "--lengths", "3,1",
+            "--plan", write(tmp_path / "p.json", plan), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "E_IRRATIONAL_POLE"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["forward", "--graph", "GRAPH", "--digits", "x"],
+    ["forward", "--graph", "GRAPH", "--bogus"],
+    ["forward"],
+    [],
+    ["frobnicate"],
+    ["validate", "--root", "sideways", "--spectra", "GRAPH", "--lengths", "1"],
+], ids=["bad-type", "unknown-flag", "missing-flag", "no-subcommand", "bad-subcommand", "bad-choice"])
+def test_usage_error_is_one_schema_error_line(tmp_path, capsys, argv):
+    graph = write(tmp_path / "g.json", EX_GRAPH)
+    assert main([graph if a == "GRAPH" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0])["error"] == "E_SCHEMA"
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["forward", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
+@pytest.mark.parametrize("command", ["validate", "verify-roundtrip"])
+def test_pendant_run_without_main_length_says_it_is_required(ex_files, capsys, command):
+    tmp, spectra, _ = ex_files
+    out = tmp / "o.json"
+    argv = [command, "--spectra", spectra, "--root", "pendant", "--lengths", "2,1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        '{"error": "E_SCHEMA", "message": "--main-length is required for pendant validation"}\n')
+    assert not out.exists()

@@ -5,19 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from starstring.errors import InvariantViolation
 from starstring.forward import (
-    Flavor,
-    char_polys_center,
-    char_polys_pendant,
+    _root_ladders,
+    char_polys,
     edge_cauer_polys,
-    main_cauer_polys,
     neumann_monotonicity,
     spectrum_of,
 )
 from starstring.model import Edge, Root, StarGraph
-from starstring.poly import Poly
-from starstring.ratfun import RationalFunction
+from starstring.poly import ONE, ZERO, Poly
+from starstring.ratfun import RationalFunction, _ladder
 from tests.conftest import (
     duplicated_edge_center_graph,
     duplicated_edge_pendant_graph,
@@ -46,45 +43,43 @@ class TestCauer:
     def test_single_bead_clamped(self):
         # fixed-fixed unit bead: R_1 = 1 - z, R_2 = 2 - z;
         # frequency^2 oracle (1/m)(1/l0 + 1/l1) = 2
-        pair = edge_cauer_polys(SINGLE_BEAD, Flavor.DIRICHLET_END)
-        assert pair.odd == P(1, -1)
-        assert pair.even == P(2, -1)
+        even, odd = edge_cauer_polys(SINGLE_BEAD)
+        assert odd == P(1, -1)
+        assert even == P(2, -1)
 
     def test_massless_base_case(self):
-        pair = edge_cauer_polys(Edge((F(1),), ()), Flavor.DIRICHLET_END)
-        assert pair.even == P(1)
-        assert pair.odd == P(1)
+        even, odd = edge_cauer_polys(Edge((F(1),), ()))
+        assert even == P(1)
+        assert odd == P(1)
 
     def test_single_bead_free(self):
         # free-fixed bead: frequency^2 oracle = 1/(m*l) = 1
-        pair = edge_cauer_polys(SINGLE_BEAD, Flavor.NEUMANN_END)
-        assert pair.even == P(1, -1)
-        assert pair.odd == P(0, -1)
+        even, odd = _ladder(ONE, ZERO, [(F(1), F(1))])
+        assert even == P(1, -1)
+        assert odd == P(0, -1)
 
     def test_main_edge_flavours(self):
-        pair_d = main_cauer_polys(SINGLE_BEAD, Flavor.DIRICHLET_END)
-        pair_n = main_cauer_polys(SINGLE_BEAD, Flavor.NEUMANN_END)
-        assert (pair_d.even, pair_d.odd) == (P(2, -1), P(1, -1))
-        assert (pair_n.even, pair_n.odd) == (P(1, -1), P(0, -1))
+        pair_d, pair_n = _root_ladders(SINGLE_BEAD)
+        assert pair_d == (P(2, -1), P(1, -1))
+        assert pair_n == (P(1, -1), P(0, -1))
 
     def test_even_odd_coprime(self, rng):
         from starstring.poly import poly_gcd
 
         for _ in range(20):
-            pair = edge_cauer_polys(random_edge(rng))
-            assert poly_gcd(pair.even, pair.odd).degree == 0
+            assert poly_gcd(*edge_cauer_polys(random_edge(rng))).degree == 0
 
 
 class TestCharPolysCenter:
     def test_two_massless_edges(self):
         g = StarGraph(Root.CENTER, F(1), (Edge((F(1),), ()), Edge((F(1),), ())))
-        phi_n, phi_d = char_polys_center(g)
+        phi_n, phi_d = char_polys(g)
         assert phi_d == P(1)
         assert phi_n == P(2, -1)
 
     def test_two_single_bead_edges(self):
         g = StarGraph(Root.CENTER, F(0), (SINGLE_BEAD, SINGLE_BEAD))
-        phi_n, phi_d = char_polys_center(g)
+        phi_n, phi_d = char_polys(g)
         assert phi_d == P(2, -1) ** 2
         assert phi_n == P(1, -1) * P(2, -1) * P(2)
 
@@ -98,16 +93,10 @@ class TestCharPolysCenter:
                 Edge((F(2, 3), F(1, 3)), (F(9, 4),)),
             ),
         )
-        phi_n, phi_d = char_polys_center(g)
+        phi_n, phi_d = char_polys(g)
         rf, _ = RationalFunction.make(phi_n, phi_d)
         expect, _ = RationalFunction.make(P(3, -3), P(2, -1))
         assert rf == expect
-
-    def test_pendant_root_raises_invariant_violation(self):
-        # a real exception, so the check survives python -O
-        g = StarGraph(Root.PENDANT, F(0), (SINGLE_BEAD,), SINGLE_BEAD)
-        with pytest.raises(InvariantViolation):
-            char_polys_center(g)
 
 
 class TestCharPolysPendant:
@@ -123,7 +112,7 @@ class TestCharPolysPendant:
         )
 
     def test_worked_example_spectra(self):
-        phi_d, phi_n = char_polys_pendant(self._example_graph())
+        phi_n, phi_d = char_polys(self._example_graph())
         zeros_d = [(rv.rat, m) for rv, m in spectrum_of(phi_d)]
         zeros_n = [(rv.rat, m) for rv, m in spectrum_of(phi_n)]
         assert zeros_d == [(F(1), 1), (F(2), 2)]
@@ -132,7 +121,7 @@ class TestCharPolysPendant:
     def test_worked_example_squarefree_structure(self):
         from starstring.poly import squarefree_factor
 
-        phi_d, _ = char_polys_pendant(self._example_graph())
+        _, phi_d = char_polys(self._example_graph())
         factors = {m: f for f, m in squarefree_factor(phi_d)}
         assert factors[2] == P(-2, 1)
         assert factors[1] == P(-1, 1)
@@ -141,7 +130,7 @@ class TestCharPolysPendant:
         # main bead + one massless edge: free-end spectrum is the
         # fixed-free spectrum of the combined string
         g = StarGraph(Root.PENDANT, F(0), (Edge((F(1),), ()),), SINGLE_BEAD)
-        phi_d, phi_n = char_polys_pendant(g)
+        phi_n, phi_d = char_polys(g)
         assert phi_d.degree == 1 and phi_n.degree == 1
         # single mass 1 on a fixed-free string: intervals 1 then 2 to the wall
         # frequency^2 = (1/m) * 1/l_to_wall_side... computed by the recurrences
@@ -155,9 +144,53 @@ class TestCharPolysPendant:
             (Edge((F(2),), ()),),
             Edge((F(3),), ()),
         )
-        phi_d, phi_n = char_polys_pendant(g)
+        phi_n, phi_d = char_polys(g)
         assert phi_d.degree == 0 and phi_n.degree == 0
         assert spectrum_of(phi_d) == [] and spectrum_of(phi_n) == []
+
+
+def _reference_char_polys(graph):
+    """(phi_N, phi_D) by the two-flavour formula: the main edge's ladders
+    from a clamped and from a free root, glued by four products to the
+    polynomials (sub_N, sub_D) of the edges folded at the centre."""
+
+    def ladder(seed, steps):
+        even, odd = P(1), seed
+        for mass, length in steps:
+            odd = P(0, -mass) * even + odd
+            even = odd.scale(length) + even
+        return even, odd
+
+    num, den = P(), P(1)
+    for e in graph.edges:
+        even, odd = ladder(P(1 / e.lengths[-1]), zip(reversed(e.masses), reversed(e.lengths[:-1])))
+        num, den = num * even + odd * den, den * even
+    sub_n, sub_d = num - P(0, graph.central_mass) * den, den
+    if graph.root is Root.CENTER:
+        return sub_n, sub_d
+    main = graph.main_edge
+    steps = list(zip(main.masses, main.lengths[1:]))
+    even_d, odd_d = ladder(P(1 / main.lengths[0]), steps)
+    even_n, odd_n = ladder(P(), steps)
+    return even_n * sub_n + odd_n * sub_d, even_d * sub_n + odd_d * sub_d
+
+
+@pytest.mark.parametrize("central_mass", [0, 1, 2])
+def test_char_polys_match_the_two_flavour_formula(rng, central_mass):
+    """The one ladder through the centre equals the two main-edge ladders
+    glued to the subgraph, for both roots and for duplicated edges."""
+    masses = (F(central_mass),)
+    makers = (
+        lambda: random_center_graph(rng, mass_choices=masses),
+        lambda: random_pendant_graph(rng, mass_choices=masses),
+        lambda: duplicated_edge_center_graph(rng, copies=rng.randint(2, 3), mass_choices=masses),
+        lambda: duplicated_edge_pendant_graph(rng, copies=rng.randint(2, 3), extra=1,
+                                              mass_choices=masses),
+    )
+    for _ in range(10):
+        for make in makers:
+            g = make()
+            assert char_polys(g) == _reference_char_polys(g)
 
 
 class TestMonotonicity:
@@ -166,8 +199,8 @@ class TestMonotonicity:
         g = StarGraph(Root.CENTER, F(1), (Edge((F(1),), ()), Edge((F(1),), ())))
         rep = neumann_monotonicity(g, [F(1), F(2)])
         assert rep.ok and rep.unresolved == 0
-        phi_1, _ = char_polys_center(replace(g, central_mass=F(1)))
-        phi_2, _ = char_polys_center(replace(g, central_mass=F(2)))
+        phi_1, _ = char_polys(replace(g, central_mass=F(1)))
+        phi_2, _ = char_polys(replace(g, central_mass=F(2)))
         assert spectrum_of(phi_1)[0][0].rat == 2
         assert spectrum_of(phi_2)[0][0].rat == 1
 

@@ -7,7 +7,7 @@ import pytest
 
 from starstring import matrixize
 from starstring.errors import InvariantViolation, RequiresPositiveCentralMass
-from starstring.forward import char_polys_center
+from starstring.forward import char_polys
 from starstring.matrixize import (
     RationalMatrix,
     _certify,
@@ -99,7 +99,7 @@ def test_det_rational_small():
 def test_pencil_matches_char_polys():
     g = StarGraph(Root.CENTER, F(1), (BEAD, BEAD))
     L, diag = build_pencil(g)
-    phi_n, phi_d = char_polys_center(g)
+    phi_n, phi_d = char_polys(g)
     full, sub = pencil_det(L, diag)
     assert full.monic() == phi_n.monic()
     assert sub.monic() == phi_d.monic()
@@ -110,7 +110,7 @@ def test_pencil_random_graphs(rng):
         g = random_center_graph(rng, q_max=4, max_masses=3, mass_choices=(1, 2, F(1, 2)))
         L, diag = build_pencil(g)
         assert L.entries == tuple(zip(*L.entries))
-        phi_n, phi_d = char_polys_center(g)
+        phi_n, phi_d = char_polys(g)
         full, sub = pencil_det(L, diag)
         assert full.monic() == phi_n.monic()
         assert sub.monic() == phi_d.monic()

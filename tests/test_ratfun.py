@@ -158,8 +158,7 @@ class TestContinuedFraction:
             n = rng.randint(0, 4)
             lengths = tuple(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n + 1))
             masses = tuple(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
-            pair = edge_cauer_polys(Edge(lengths, masses))
-            cf = cf_expand(RationalFunction(pair.even, pair.odd))
+            cf = cf_expand(RationalFunction(*edge_cauer_polys(Edge(lengths, masses))))
             assert cf.a == lengths
             assert cf.b == masses
 

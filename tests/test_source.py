@@ -76,3 +76,22 @@ def test_every_error_class_is_raised_elsewhere():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
     assert defined and sorted(defined - raised) == []
+
+
+def test_every_export_is_used():
+    """A name the package's ``__init__`` exports is dead surface unless
+    another package module or a test uses it."""
+    package = Path(starstring.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in init.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += Path(__file__).parent.glob("*.py")
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            used.add(getattr(node, "id", None) or getattr(node, "attr", None))
+    assert exported and sorted(exported - used) == []
