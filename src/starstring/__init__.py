@@ -15,18 +15,11 @@ from .errors import (
     StarStringError,
 )
 from .forward import (
-    branching_quotient,
     center_quotient,
-    center_quotient_identity,
     char_polys,
     edge_cauer_polys,
-    edge_quotient,
-    lagrange_check,
-    neumann_monotonicity,
     pendant_quotient,
-    pendant_subgraph_identities,
     spectrum_of,
-    total_length_identity,
 )
 from .inverse_center import (
     build_psi,

@@ -1,15 +1,32 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored lowest degree first; the zero polynomial is the
-empty tuple.  All arithmetic is exact.  Degrees stay at desk scale
-(<= ~60), so the dense representation is the simple and sufficient choice.
+A polynomial is stored as a positive rational scale times a primitive
+integer vector, lowest degree first: ``(scale, ints)`` with content
+gcd(ints) = 1 and the polynomial's sign carried by ``ints``; the zero
+polynomial is ``(1, ())``.  The form is canonical, so equality compares
+the two fields, and the kernels run in integers, touching the scale once
+per operation:
 
-Gcds run in integers: operands cleared of denominators and content
-(``Poly.primitive_int``) go through ``_sturm_sequence``, the primitive
-signed pseudo-remainder sequence (Collins 1967, Brown 1971) and the one
-remainder loop: its last member is the gcd, on (f, f') it is the Sturm
-chain of ``roots``, and on two pencil determinants it is ``matrixize``'s
-interlacing certificate.
+- a product of primitive vectors is primitive (Gauss's lemma), so
+  multiplication is an integer convolution with no gcd;
+- scaling, negation and ``monic`` change only the scale or the signs;
+- a sum cross-multiplies by the scale denominators and takes one content
+  gcd, as does the derivative;
+- division multiplies its working vectors by |lc|/gcd(head, lc) only at a
+  step that is not exact, so an exact quotient of primitive polynomials
+  never leaves the integers;
+- evaluation is homogeneous Horner in integers (``_value``) with one
+  Fraction at the end.
+
+``coeffs`` gives the rational coefficients on demand.  Degrees stay at desk
+scale (<= ~60), so the dense representation is the simple and sufficient
+choice.
+
+Gcds run on the integer vectors (``Poly.primitive_int``) through
+``_sturm_sequence``, the primitive signed pseudo-remainder sequence
+(Collins 1967, Brown 1971) and the one remainder loop: its last member is
+the gcd, on (f, f') it is the Sturm chain of ``roots``, and on two pencil
+determinants it is ``matrixize``'s interlacing certificate.
 """
 
 from __future__ import annotations
@@ -21,20 +38,19 @@ from .errors import DivisionByZero
 
 
 def _coerce(c):
-    return c if isinstance(c, Fraction) else Fraction(c)
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
 class Poly:
-    """Immutable dense polynomial with Fraction coefficients (lowest first)."""
+    """Immutable dense polynomial: a positive Fraction scale times a
+    primitive integer tuple (lowest degree first)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_scale", "_ints")
 
     def __init__(self, coeffs=()):
         cs = [_coerce(c) for c in coeffs]
-        n = len(cs)
-        while n and cs[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", tuple(cs[:n]))
+        den = _ilcm(*(c.denominator for c in cs))
+        _store(self, 1, den, [c.numerator * (den // c.denominator) for c in cs])
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -62,24 +78,30 @@ class Poly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The rational coefficients, lowest degree first."""
+        s = self._scale
+        return tuple(s * c for c in self._ints)
+
+    @property
     def degree(self):
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self._ints
 
     @property
     def lc(self):
         """Leading coefficient (of the zero polynomial: 0)."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self._scale * self._ints[-1] if self._ints else Fraction(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._ints)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self._ints == other._ints and self._scale == other._scale
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -102,35 +124,50 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return self.scale(-1)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self._ints, other._ints
+        if not b:
+            return self
+        if not a:
+            return other
+        # s*a + t*b = (h/L) * (x*a + y*b): h = gcd of the scale numerators,
+        # L = lcm of their denominators
+        s, t = self._scale, other._scale
+        h = _igcd(s.numerator, t.numerator)
+        g = _igcd(s.denominator, t.denominator)
+        x = s.numerator // h * (t.denominator // g)
+        y = t.numerator // h * (s.denominator // g)
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b, x, y = b, a, y, x
+        out = [x * c for c in a]
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            out[i] += y * c
+        return _new(h, s.denominator // g * t.denominator, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self._ints, other._ints
         if not a or not b:
             return ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        # primitive times primitive is primitive
+        return _canonical(self._scale * other._scale, tuple(out))
 
     def scale(self, c):
         c = _coerce(c)
-        return Poly([c * x for x in self.coeffs])
+        if not c or not self._ints:
+            return ZERO
+        if c > 0:
+            return _canonical(self._scale * c, self._ints)
+        return _canonical(self._scale * -c, tuple(-x for x in self._ints))
 
     def __pow__(self, n):
         result = ONE
@@ -143,21 +180,37 @@ class Poly:
         return result
 
     def __divmod__(self, other):
-        """Exact division with remainder: self = q*other + r, deg r < deg other."""
-        if other.is_zero:
+        """Exact division with remainder: self = q*other + r, deg r < deg other.
+
+        In integers d*a = q*b + r for the vectors a, b of self and other:
+        d starts at 1 and takes the factor |lc(b)|/gcd(head, lc(b)) at each
+        step whose head lc(b) does not divide.
+        """
+        b = other._ints
+        if not b:
             raise DivisionByZero("polynomial division by zero")
-        r = list(self.coeffs)
-        d = other.degree
-        lc = other.lc
-        q = [Fraction(0)] * max(len(r) - d, 0)
-        for i in range(len(r) - 1 - d, -1, -1):
-            f = r[i + d] / lc
-            if f == 0:
+        db, lcb = len(b) - 1, b[-1]
+        r = list(self._ints)
+        if len(r) <= db:
+            return ZERO, self
+        q = [0] * (len(r) - db)
+        d = 1
+        for i in range(len(q) - 1, -1, -1):
+            head = r[i + db]
+            if not head:
                 continue
-            q[i] = f
-            for j, c in enumerate(other.coeffs):
+            m = abs(lcb) // _igcd(head, lcb)
+            if m != 1:
+                r = [m * c for c in r[:i + db + 1]]
+                q = [m * c for c in q]
+                d *= m
+                head *= m
+            f = q[i] = head // lcb
+            for j, c in enumerate(b):
                 r[i + j] -= f * c
-        return Poly(q), Poly(r[:d])
+        s, t = self._scale, other._scale
+        quot = _new(s.numerator * t.denominator, s.denominator * t.numerator * d, q)
+        return quot, _new(s.numerator, s.denominator * d, r[:db])
 
     def divexact(self, other):
         q, r = divmod(self, other)
@@ -165,31 +218,95 @@ class Poly:
             raise DivisionByZero("inexact polynomial division")
         return q
 
+    def cancel_lead(self, other):
+        """(c, self - c*z**k*other) with c = lc(self)/lc(other) and
+        k = deg self - deg other >= 0: one division step, which drops the
+        degree.  In integers it is lc(b)*a - lc(a)*z**k*b, both leading
+        coefficients divided by their gcd, and one content gcd."""
+        a, b = self._ints, other._ints
+        k = len(a) - len(b)
+        g = _igcd(a[-1], b[-1])
+        x, y = b[-1] // g, a[-1] // g
+        out = [x * c for c in a]
+        for j, c in enumerate(b):
+            out[k + j] -= y * c
+        s, t = self._scale, other._scale
+        c = Fraction(s.numerator * t.denominator * y, s.denominator * t.numerator * x)
+        return c, _new(s.numerator, s.denominator * x, out)
+
     def derivative(self):
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        s = self._scale
+        return _new(s.numerator, s.denominator, [i * c for i, c in enumerate(self._ints)][1:])
 
     def eval(self, x):
-        """Horner evaluation at an exact rational point."""
+        """Horner evaluation at an exact rational point, homogeneous in integers."""
         x = _coerce(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        a, s = self._ints, self._scale
+        if not a:
+            return Fraction(0)
+        q = x.denominator
+        return Fraction(s.numerator * _value(a, x.numerator, q), s.denominator * q ** (len(a) - 1))
 
     def monic(self):
-        if self.is_zero:
+        a = self._ints
+        if not a:
             return self
-        return self.scale(1 / self.lc)
+        if a[-1] < 0:
+            a = tuple(-c for c in a)
+        return _canonical(Fraction(1, a[-1]), a)
 
     def primitive_int(self):
-        """Integer coefficient list with content 1, same sign and roots."""
-        den = _ilcm(*(c.denominator for c in self.coeffs))
-        return _int_primitive([c.numerator * (den // c.denominator) for c in self.coeffs])
+        """Integer coefficients with content 1, same sign and roots: the
+        stored vector."""
+        return self._ints
+
+
+def _canonical(scale, ints):
+    """The Poly scale*ints for a positive Fraction and a primitive integer
+    tuple with a nonzero last entry (or the empty tuple with scale 1)."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "_scale", scale)
+    object.__setattr__(p, "_ints", ints)
+    return p
+
+
+def _store(p, num, den, ints):
+    """Store (num/den) * ints in p in canonical form, for nonzero integers
+    num, den and an integer list; returns p."""
+    prim = _int_primitive(ints)
+    if prim:
+        # the content is the leading entry over the primitive one
+        num *= ints[len(prim) - 1] // prim[-1]
+        if (num < 0) != (den < 0):
+            prim = [-c for c in prim]
+        scale = Fraction(abs(num), abs(den))
+    else:
+        scale = Fraction(1)
+    object.__setattr__(p, "_scale", scale)
+    object.__setattr__(p, "_ints", tuple(prim))
+    return p
+
+
+def _new(num, den, ints):
+    return _store(object.__new__(Poly), num, den, ints)
+
+
+def _value(coeffs, p, q):
+    """q**n * f(p/q) for f of degree n and q > 0, by homogeneous evaluation in integers."""
+    if not coeffs:
+        return 0
+    acc = coeffs[-1]
+    qpow = 1
+    for i in range(len(coeffs) - 2, -1, -1):
+        qpow *= q
+        acc = acc * p + coeffs[i] * qpow
+    return acc
 
 
 def _linear_product(factors):
-    """Product of (a0 + a1*z)/d over integer triples (a0, a1, d), multiplied
-    in integers with one division per coefficient at the end."""
+    """Product of (a0 + a1*z)/d over integer triples (a0, a1, d) with
+    coprime a0, a1: the integer product of the numerators, primitive by
+    Gauss's lemma, over the product of the d."""
     out, den = [1], 1
     for a0, a1, d in factors:
         nxt = [0] * (len(out) + 1)
@@ -197,11 +314,7 @@ def _linear_product(factors):
             nxt[i] += c * a0
             nxt[i + 1] += c * a1
         out, den = nxt, den * d
-    return Poly([Fraction(c, den) for c in out])
-
-
-ZERO = Poly()
-ONE = Poly([1])
+    return _new(1, den, out)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +326,11 @@ def _int_primitive(coeffs):
     while cs and cs[-1] == 0:
         cs.pop()
     g = _igcd(*cs)
-    return [c // g for c in cs] if g else []
+    return [c // g for c in cs] if g > 1 else cs
+
+
+ZERO = Poly()
+ONE = Poly([1])
 
 
 def _positive(coeffs):

@@ -180,6 +180,7 @@ def cf_expand(f):
     off num/den: the constant a = lc(num)/lc(den), or 0 when deg den is one
     higher, leaves num - a*den; the slope s = lc(den)/lc(num) of the simple
     pole at infinity of the reciprocal leaves den - s*z*num, and b = -s.
+    Both peels are ``Poly.cancel_lead``, one integer step each.
     For an edge's driving-point function the a_k are its interval lengths
     and the b_k its masses.  Positivity of every peeled coefficient
     certifies the S0 property; any violation raises NotStieltjes.
@@ -192,7 +193,7 @@ def cf_expand(f):
     while True:
         dn, dd = num.degree, den.degree
         if dn == dd:
-            const = num.lc / den.lc
+            const, num = num.cancel_lead(den)
         elif dn == dd - 1:
             const = Fraction(0)
         else:
@@ -202,17 +203,14 @@ def cf_expand(f):
         if const < 0:
             raise NotStieltjes(f"negative limit at infinity: {const}")
         a.append(const)
-        if const:
-            num = Poly([x - const * y for x, y in zip(num.coeffs, den.coeffs)])
         if num.is_zero:
             break
         if num.degree != dd - 1:
             raise NotStieltjes("unexpected cancellation while extracting a constant")
-        slope = den.lc / num.lc
+        slope, den = den.cancel_lead(num)
         if slope >= 0:
             raise NotStieltjes(f"nonpositive mass coefficient b_{len(b) + 1} = {-slope}")
         b.append(-slope)
-        den = Poly([y - slope * x for y, x in zip(den.coeffs, (0, *num.coeffs))])
         if den.is_zero:
             raise NotStieltjes("continued fraction terminated inside a linear level")
     return StieltjesCF(tuple(a), tuple(b))

@@ -3,7 +3,8 @@
 Roots of rational polynomials are located with Sturm sequences computed on
 the square-free part: the Sturm chain of f is ``poly``'s primitive signed
 remainder sequence of (f, f'), in integers, so coefficient growth stays
-tame.  This module adds only evaluation, the bisection that counts sign
+tame, and every value comes from ``poly``'s homogeneous integer evaluator
+``_value``.  This module adds only the bisection that counts sign
 variations along that chain, refinement and the rational-root search.
 Each root that is not hit exactly comes out as an isolating interval
 (lo, hi) of a square-free integer polynomial.
@@ -31,7 +32,7 @@ from functools import cmp_to_key
 from math import isqrt
 
 from .errors import DivisionByZero, RangeError
-from .poly import Poly, _int_poly_gcd, _sturm_sequence, squarefree_factor
+from .poly import Poly, _int_poly_gcd, _sturm_sequence, _value, squarefree_factor
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -46,18 +47,6 @@ def _sign_frac(coeffs, p, q):
     """Sign of the polynomial at p/q, q > 0."""
     val = _value(coeffs, p, q)
     return (val > 0) - (val < 0)
-
-
-def _value(coeffs, p, q):
-    """q**n * f(p/q) for f of degree n and q > 0, by homogeneous evaluation in integers."""
-    if not coeffs:
-        return 0
-    acc = coeffs[-1]
-    qpow = 1
-    for i in range(len(coeffs) - 2, -1, -1):
-        qpow *= q
-        acc = acc * p + coeffs[i] * qpow
-    return acc
 
 
 def _variations_at(chain, x):

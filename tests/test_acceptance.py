@@ -11,15 +11,10 @@ from fractions import Fraction as F
 
 from starstring.forward import (
     center_quotient,
-    center_quotient_identity,
     char_polys,
     edge_cauer_polys,
-    lagrange_check,
-    neumann_monotonicity,
     pendant_quotient,
-    pendant_subgraph_identities,
     spectrum_of,
-    total_length_identity,
 )
 from starstring.inverse_center import reconstruct_center, reconstruct_center_grouped
 from starstring.inverse_pendant import decompose_main_from_quotient, reconstruct_pendant
@@ -36,9 +31,14 @@ from tests.conftest import (
     random_pendant_graph,
 )
 from tests.structure_checks import (
+    center_quotient_identity,
     check_center_interlacing,
     check_common_zero_accounting,
     check_pendant_interlacing,
+    lagrange_check,
+    neumann_monotonicity,
+    pendant_subgraph_identities,
+    total_length_identity,
 )
 
 GOLDEN_PENDANT_SPECTRA = SpectrumPair(

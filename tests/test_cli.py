@@ -350,6 +350,37 @@ def test_lengths_must_be_positive(ex_files, capsys, argv):
     assert not out.exists()
 
 
+ZERO_INTERVAL_GRAPH = {
+    "root": "center", "central_mass": "0",
+    "edges": [{"lengths": ["1", "0"], "masses": ["1"]}, {"lengths": ["1"], "masses": []}],
+}
+ZERO_MASS_GRAPH = {
+    "root": "center", "central_mass": "0",
+    "edges": [{"lengths": ["1", "1"], "masses": ["0"]}, {"lengths": ["1"], "masses": []}],
+}
+ZERO_VALUE_SPECTRA = {
+    "neumann_squared": [{"value": "0", "mult": 1}, *EX_SPECTRA["neumann_squared"][1:]],
+    "dirichlet_squared": EX_SPECTRA["dirichlet_squared"],
+}
+
+
+@pytest.mark.parametrize("name, data, argv", [
+    ("graph", ZERO_INTERVAL_GRAPH, ["forward"]),
+    ("graph", ZERO_MASS_GRAPH, ["forward"]),
+    ("spectra", ZERO_VALUE_SPECTRA, ["inverse-center", "--lengths", "2,1"]),
+], ids=["zero-interval", "zero-mass", "zero-eigenvalue"])
+def test_zero_in_an_input_file_is_an_invariant_violation(tmp_path, capsys, name, data, argv):
+    """A zero in a file is E_INVARIANT with exit status 2, which removes the
+    stale output; the same zero in --lengths is E_RANGE with exit status 1."""
+    path = write(tmp_path / f"{name}.json", data)
+    out = tmp_path / "o.json"
+    out.write_text("stale")
+    assert main([*argv, f"--{name}", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "E_INVARIANT"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lengths", ["2,,1", "2,1,", ",2"])
 @pytest.mark.parametrize("argv", [
     ["inverse-center"],

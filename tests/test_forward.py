@@ -5,13 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from starstring.forward import (
-    _root_ladders,
-    char_polys,
-    edge_cauer_polys,
-    neumann_monotonicity,
-    spectrum_of,
-)
+from starstring.forward import char_polys, edge_cauer_polys, spectrum_of
 from starstring.model import Edge, Root, StarGraph
 from starstring.poly import ONE, ZERO, Poly
 from starstring.ratfun import RationalFunction, _ladder
@@ -23,12 +17,14 @@ from tests.conftest import (
     random_pendant_graph,
 )
 from tests.structure_checks import (
+    _root_ladders,
     check_center_identities,
     check_center_interlacing,
     check_common_zero_accounting,
     check_main_edge_identities,
     check_pendant_identities,
     check_pendant_interlacing,
+    neumann_monotonicity,
 )
 
 
@@ -256,7 +252,7 @@ class TestSpectralStructure:
         assert found > 0, "engineered graphs must produce common zeros"
 
     def test_lagrange_and_length_random_edges(self, rng):
-        from starstring.forward import lagrange_check, total_length_identity
+        from tests.structure_checks import lagrange_check, total_length_identity
 
         for _ in range(25):
             e = random_edge(rng, max_masses=6)
@@ -265,7 +261,7 @@ class TestSpectralStructure:
             assert total_length_identity(e)
 
     def test_lagrange_massless(self):
-        from starstring.forward import lagrange_check
+        from tests.structure_checks import lagrange_check
 
         ok, _ = lagrange_check(Edge((F(5, 3),), ()))
         assert ok

@@ -272,3 +272,111 @@ def test_sturm_sequence_against_sympy():
                 assert all(ci * q[-1] == qi * c[-1] for ci, qi in zip(c, q)), a
                 assert (c[-1] > 0) == (q[-1] > 0), a
     assert square_free >= 40
+
+
+# -- the integer kernel against a plain Fraction-list reference ------------
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    r = list(a)
+    q = [F(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        f = r[i + len(b) - 1] / b[-1]
+        q[i] = f
+        for j, c in enumerate(b):
+            r[i + j] -= f * c
+    return _ref_trim(q), _ref_trim(r[:len(b) - 1])
+
+
+def _ref_eval(a, x):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_primitive(a):
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (den // c.denominator) for c in a]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def _assert_is(p, ref):
+    """p holds exactly the coefficients ``ref``, in the canonical form."""
+    assert p.coeffs == tuple(ref)
+    assert p == Poly(ref) and hash(p) == hash(p.coeffs)
+    assert p.primitive_int() == p._ints == _ref_primitive(ref)
+    if ref:
+        assert p._scale > 0 and math.gcd(*p._ints) == 1
+        assert all(p._scale * i == c for i, c in zip(p._ints, ref))
+    else:
+        assert p._ints == () and p._scale == 1
+
+
+_FRACTIONS = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(F, st.integers(-(1 << 80), 1 << 80), st.integers(1, 1 << 40)),
+)
+# trailing zeros make zero polynomials and dropped leading terms
+_COEFFS = st.lists(st.one_of(_FRACTIONS, st.just(F(0))), max_size=11)
+# nonzero leading coefficient of either sign, rarely a unit
+_DIVISOR = st.tuples(st.lists(_FRACTIONS, max_size=3), _FRACTIONS.filter(bool)).map(
+    lambda t: t[0] + [t[1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_COEFFS, _COEFFS, _DIVISOR, _FRACTIONS)
+def test_kernel_matches_fraction_reference(a, b, d, c):
+    ra, rb, rd = _ref_trim(a), _ref_trim(b), _ref_trim(d)
+    pa, pb, pd = Poly(a), Poly(b), Poly(d)
+    for p, ref in ((pa, ra), (pb, rb), (pd, rd)):
+        _assert_is(p, ref)
+    _assert_is(pa + pb, _ref_add(ra, rb))
+    _assert_is(pa - pb, _ref_add(ra, [-x for x in rb]))
+    _assert_is(-pa, [-x for x in ra])
+    _assert_is(pa * pb, _ref_mul(ra, rb))
+    _assert_is(pa * pd, _ref_mul(ra, rd))
+    for k in (c, F(0), F(-1), -abs(c)):
+        _assert_is(pa.scale(k), _ref_trim([k * x for x in ra]))
+    _assert_is(pa.derivative(), [i * x for i, x in enumerate(ra)][1:])
+    _assert_is(pa.monic(), [x / ra[-1] for x in ra] if ra else [])
+    assert pa.eval(c) == _ref_eval(ra, c)
+    assert pa.lc == (ra[-1] if ra else 0)
+    assert (pa == pb) == (ra == rb)
+    # quotients up to ten degrees deep, by divisors with any leading coefficient
+    quot, rem = divmod(pa, pd)
+    ref_quot, ref_rem = _ref_divmod(ra, rd)
+    _assert_is(quot, ref_quot)
+    _assert_is(rem, ref_rem)
+    _assert_is((pa * pd).divexact(pd), ra)
+    if ref_rem:
+        with pytest.raises(DivisionByZero):
+            pa.divexact(pd)
+    if len(ra) >= len(rd):
+        lead, rest = pa.cancel_lead(pd)
+        assert lead == ra[-1] / rd[-1]
+        shifted = [F(0)] * (len(ra) - len(rd)) + [lead * x for x in rd]
+        _assert_is(rest, _ref_add(ra, [-x for x in shifted]))

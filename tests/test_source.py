@@ -41,10 +41,8 @@ def test_module_level_imports_are_used():
     assert unused == []
 
 
-def test_remainder_sequence_helpers_stay_in_poly():
-    """``poly._sturm_sequence`` is the one remainder-sequence loop: no other
-    module builds its own from the pseudo-remainder and content helpers."""
-    private = {"_prem_signed", "_int_primitive"}
+def _uses_outside_poly(private):
+    """``module:line name`` for every use of the given names outside ``poly.py``."""
     paths = sorted(Path(starstring.__file__).parent.glob("*.py"))
     found = []
     for path in paths:
@@ -56,7 +54,19 @@ def test_remainder_sequence_helpers_stay_in_poly():
             else:
                 names = [getattr(node, "id", None), getattr(node, "attr", None)]
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name in private]
-    assert found == []
+    return found
+
+
+def test_remainder_sequence_helpers_stay_in_poly():
+    """``poly._sturm_sequence`` is the one remainder-sequence loop: no other
+    module builds its own from the pseudo-remainder and content helpers."""
+    assert _uses_outside_poly({"_prem_signed", "_int_primitive"}) == []
+
+
+def test_poly_storage_stays_in_poly():
+    """``Poly``'s (scale, primitive ints) form is known to ``poly.py`` alone:
+    no other module reads its storage fields or builds one from parts."""
+    assert _uses_outside_poly({"_scale", "_ints", "_canonical", "_new", "_store"}) == []
 
 
 def test_every_error_class_is_raised_elsewhere():
