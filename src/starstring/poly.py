@@ -25,8 +25,8 @@ choice.
 Gcds run on the integer vectors (``Poly.primitive_int``) through
 ``_sturm_sequence``, the primitive signed pseudo-remainder sequence
 (Collins 1967, Brown 1971) and the one remainder loop: its last member is
-the gcd, on (f, f') it is the Sturm chain of ``roots``, and on two pencil
-determinants it is ``matrixize``'s interlacing certificate.
+the gcd (on (f, f') the Sturm chain, for ``squarefree_factor``), and on two
+pencil determinants it is ``matrixize``'s interlacing certificate.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.coeffs,)
 
     # -- constructors ------------------------------------------------------
 

@@ -50,6 +50,9 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
+    def __reduce__(self):
+        return RationalFunction.from_coprime, (self.num, self.den)
+
     @staticmethod
     def make(num, den):
         """Canonicalize num/den; returns (function, cancelled monic factor)."""

@@ -1,28 +1,29 @@
 """Exact real-root isolation and comparison.
 
-Roots of rational polynomials are located with Sturm sequences computed on
-the square-free part: the Sturm chain of f is ``poly``'s primitive signed
-remainder sequence of (f, f'), in integers, so coefficient growth stays
-tame, and every value comes from ``poly``'s homogeneous integer evaluator
-``_value``.  This module adds only the bisection that counts sign
-variations along that chain, refinement and the rational-root search.
-Each root that is not hit exactly comes out as an isolating interval
-(lo, hi) of a square-free integer polynomial.
+Roots are isolated on the square-free part by Descartes bisection in
+integers (G. E. Collins and A. G. Akritas, SYMSAC 1976; F. Rouillier and
+P. Zimmermann, J. Comput. Appl. Math. 162(1), 2004).  The start interval
+maps onto y in [0, 1], and a dyadic cell with polynomial h on [0, 1] holds
+at most as many roots as the reversed h shifted by 1 has sign variations,
+exactly that many when 0 or 1; a cell with more splits into 2**n * h(y/2)
+and that shifted by 1.  Summed leaf counts give every cell's exact count,
+so the intervals returned are those of Sturm bisection on the same tree:
+the first cell of count 1 on each root's path.  A rational root at the
+midpoint of a cell with more roots becomes (mid, mid), with neighbours
+rebuilt from Descartes counts next to it, and both sides start afresh.
 
-All refinement runs on one integer kernel, ``_bisect``.  It walks dyadic
-points y = k/2**e of the interval's own coordinate, x = lo + (hi - lo)*y,
-and evaluates the polynomial there homogeneously in integers, so a step
-builds no Fraction and takes no gcd.  Secant guesses from the values at a
-cell's ends make the number of evaluations grow with the logarithm of the
-depth once the guesses hold (quadratic interval refinement); a root's cell
-at each depth is the one bisection would find, so the deepest cell found
-so far serves every later refinement.
+Refinement runs on one integer kernel, ``_bisect``, which walks dyadic
+points y = k/2**e of an isolating interval and evaluates there
+homogeneously in integers (``poly._value``).  A deep descent first tries
+one exact Newton step from a float guess, then secant guesses (quadratic
+interval refinement).  Floats only propose and exact signs decide, so a
+root's cell at each depth is the one bisection finds, and the deepest cell
+found so far serves every later refinement.
 
-Rational roots are found once per square-free factor, by p-adic lifting
-and rational reconstruction (``_rational_roots``), and the isolating
-interval holding each becomes that rational.  Irrational roots stay as
-(polynomial, isolating interval) pairs that can be refined and compared
-without ever guessing a strict inequality.
+Rational roots are found once per square-free factor by p-adic lifting
+(``_rational_roots``), and the isolating interval holding each becomes
+that rational.  Irrational roots stay as (polynomial, isolating interval)
+pairs that are refined and compared without guessing a strict inequality.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cmp_to_key
 from math import isqrt
 
 from .errors import DivisionByZero, RangeError
-from .poly import Poly, _int_poly_gcd, _sturm_sequence, _value, squarefree_factor
+from .poly import Poly, _int_poly_gcd, _value, squarefree_factor
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -40,18 +41,8 @@ from .poly import Poly, _int_poly_gcd, _sturm_sequence, _value, squarefree_facto
 
 def _sign_at(coeffs, x):
     """Sign of the polynomial at the rational x."""
-    return _sign_frac(coeffs, x.numerator, x.denominator)
-
-
-def _sign_frac(coeffs, p, q):
-    """Sign of the polynomial at p/q, q > 0."""
-    val = _value(coeffs, p, q)
+    val = _value(coeffs, x.numerator, x.denominator)
     return (val > 0) - (val < 0)
-
-
-def _variations_at(chain, x):
-    signs = [s for c in chain if (s := _sign_at(c, x))]
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
 
 
 def _cauchy_bound(coeffs):
@@ -71,6 +62,62 @@ def _frame(lo, hi):
     return a * d, c * b - a * d, b * d
 
 
+def _point(frame, k, e):
+    """The point y = k/2**e of the frame, as x."""
+    u, v, den = frame
+    return Fraction((u << e) + v * k, den << e)
+
+
+def _guess(ints, lo, hi):
+    """A float near the root of ``ints`` in the float cell [lo, hi]: Newton
+    steps inside the bracket the signs keep, bisecting when a step leaves it
+    or is not half the one before last (rtsafe, Numerical Recipes 9.4)."""
+    shift = max(0, max(c.bit_length() for c in ints) - 960)
+    fc = [c / (1 << shift) for c in reversed(ints)]
+
+    def newton(x):
+        f = d = 0.0
+        for c in fc:
+            f, d = f * x + c, d * x + f
+        return f, d
+
+    below, x = newton(lo)[0] < 0, (lo + hi) / 2
+    older = old = hi - lo
+    for _ in range(100):
+        f, d = newton(x)
+        if f == 0:
+            return x
+        lo, hi = (x, hi) if (f < 0) == below else (lo, x)
+        step = x - f / d if d else lo
+        if not lo < step < hi or 2 * abs(step - x) > older:
+            step = (lo + hi) / 2
+        if abs(step - x) <= abs(x) * 2 ** -44 or step == x:
+            return step
+        older, old, x = old, abs(step - x), step
+    return x
+
+
+def _seed(ints, frame, k, e, depth, at):
+    """The root's level-``depth`` path from one exact Newton step off
+    ``_guess`` in the cell (k, e), or None: the cell under the step is kept
+    inside (k, e) only, with a strict sign change or a zero at its ends."""
+    u, v, den = frame
+    try:
+        guess = _guess(ints, float(_point(frame, k, e)), float(_point(frame, k + 1, e)))
+        p, q = guess.as_integer_ratio()
+    except (OverflowError, ValueError):
+        return None
+    m = ((p * den - u * q) << depth) // (v * q)
+    x, w = (u << depth) + v * m, den << depth
+    dm = _value([i * c for i, c in enumerate(ints)][1:], x, w) * v
+    if not dm or (j := m + -_value(ints, x, w) // dm) >> depth - e != k:
+        return None
+    lv, rv = at(j, depth), at(j + 1, depth)
+    if lv and rv:
+        return (j, depth, lv, rv) if (lv > 0) != (rv > 0) else None
+    return (j + 1 if lv else j), depth, 0, 0
+
+
 def _bisect(ints, frame, path, depth):
     """Refine the root's cell of the frame's y down to level ``depth``.
 
@@ -87,7 +134,8 @@ def _bisect(ints, frame, path, depth):
     below 2) and takes one bisection step, as does a single level.  Every
     point evaluated is dyadic of level <= ``depth``, so the result is what
     plain bisection gives: the level-``depth`` path, or (m, e, 0, 0) when
-    m/2**e is the root itself.
+    m/2**e is the root itself.  A descent of more than 8 levels first tries
+    ``_seed``, whose result is proven the same way.
     """
     u, v, den = frame
     n = len(ints) - 1
@@ -96,6 +144,8 @@ def _bisect(ints, frame, path, depth):
     def at(m, level):
         return _value(ints, (u << level) + v * m, den << level)
 
+    if depth - e > 8 and (seeded := _seed(ints, frame, k, e, depth, at)):
+        return seeded
     if lv is None:
         lv = at(k, e)
     pos = lv > 0
@@ -133,20 +183,8 @@ def _bisect(ints, frame, path, depth):
     return k, e, lv, rv
 
 
-def _depth_for(num, den):
-    """Smallest e >= 0 with num/den <= 2**e, for positive integers."""
-    e = max(0, num.bit_length() - den.bit_length())
-    while num > den << e:
-        e += 1
-    return e
-
-
 # ---------------------------------------------------------------------------
 # algebraic reals
-
-
-def _cmp(a, b):
-    return (a > b) - (a < b)
 
 
 class RootVal:
@@ -188,11 +226,6 @@ class RootVal:
             return self.rat, self.rat
         return self.lo, self.hi
 
-    def _point(self, k, e):
-        """The point y = k/2**e of the isolating interval, as x."""
-        u, v, den = self._frame
-        return Fraction((u << e) + v * k, den << e)
-
     def _descend(self, depth):
         """Make the current interval the isolating interval's level-``depth`` cell.
 
@@ -204,15 +237,15 @@ class RootVal:
         path = _bisect(self.ints, self._frame, self._path, depth)
         k = path[0]
         if path[2] == 0:
-            self.rat = self.lo = self.hi = self._point(k, path[1])
+            self.rat = self.lo = self.hi = _point(self._frame, k, path[1])
             return
         self._path = path
         # an endpoint the descent keeps is not rebuilt
         steps = depth - e
         if k != was << steps:
-            self.lo = self._point(k, depth)
+            self.lo = _point(self._frame, k, depth)
         if k + 1 != (was + 1) << steps:
-            self.hi = self._point(k + 1, depth)
+            self.hi = _point(self._frame, k + 1, depth)
 
     def _refine_once(self):
         self._descend(self._path[1] + 1)
@@ -221,12 +254,13 @@ class RootVal:
         if width <= 0:
             raise RangeError(f"refinement width must be > 0, got {width}")
         if self.rat is None:
+            # the least depth e >= 0 with (hi - lo)/2**e <= width
             _, v, den = self._frame
-            self._descend(_depth_for(v * width.denominator, den * width.numerator))
+            self._descend((-(-v * width.denominator // (den * width.numerator)) - 1).bit_length())
 
     def _compare_rational(self, r):
         if self.rat is not None:
-            return _cmp(self.rat, r)
+            return (self.rat > r) - (self.rat < r)
         if self.lo < r < self.hi and _sign_at(self.ints, r) == 0:
             return 0
         while self.lo < r < self.hi:
@@ -322,7 +356,7 @@ def _rational_roots(ints):
             q = r0 // r1
             r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
         a, b = (r1, t1) if t1 > 0 else (-r1, -t1)
-        if b <= lc and _sign_frac(ints, a, b) == 0:
+        if b <= lc and _value(ints, a, b) == 0:
             roots.append(Fraction(a, b))
     return roots
 
@@ -331,46 +365,86 @@ def _rational_roots(ints):
 # isolation
 
 
-def _isolate_squarefree(ints, lo, hi):
-    """Isolate all roots of a square-free integer polynomial in open (lo, hi).
+def _shift(h):
+    """h(y + 1), by Taylor shift in integers."""
+    a = list(h)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
 
-    Endpoints must not be roots.  Yields exact rationals and isolating
-    intervals, ascending.
-    """
-    chain = _sturm_sequence(ints, [i * c for i, c in enumerate(ints)][1:])
-    out = []
-    stack = [(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        n = va - vb
-        if n == 0:
-            continue
-        if n == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if _sign_at(ints, mid) == 0:
-            eps = (b - a) / 4
-            while True:
-                left, right = mid - eps, mid + eps
-                if (
-                    left > a
-                    and right < b
-                    and _sign_at(ints, left) != 0
-                    and _sign_at(ints, right) != 0
-                ):
-                    vl = _variations_at(chain, left)
-                    vr = _variations_at(chain, right)
-                    if vl - vr == 1:
-                        break
-                eps /= 2
-            out.append((mid, mid))
-            stack.append((a, left, va, vl))
-            stack.append((right, b, vr, vb))
-        else:
-            vm = _variations_at(chain, mid)
-            stack.append((a, mid, va, vm))
-            stack.append((mid, b, vm, vb))
+
+def _variations(h):
+    """Descartes' bound on the roots of h in (0, 1), exact when 0 or 1 and
+    capped at 2: the sign variations of the reversed h shifted by 1.  A pass
+    of the shift finishes one coefficient, so the count stops at the second
+    variation; coefficients of one sign need no shift."""
+    if min(h) >= 0 or max(h) <= 0:
+        return 0
+    a, n = h[::-1], len(h) - 1
+    var = last = 0
+    for i in range(n + 1):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += a[j + 1]
+        if a[i] and last and (a[i] < 0) != (last < 0):
+            var += 1
+            if var == 2:
+                return 2
+        last = a[i] or last
+    return var
+
+
+def _tree(ints, lo, hi):
+    """Descartes bisection of (lo, hi) for ``ints`` down to bounds of 0 or 1:
+    the frame, the cells (k, e, h) of [k/2**e, (k+1)/2**e] of its y with h
+    on [0, 1] (den**n * f((u + v*y)/den) at the top, then 2**n * h(y/2) and
+    that shifted by 1), the (left, right, midpoint is a root) of each split
+    cell, and each cell's exact root count in the open cell, summed up."""
+    u, v, den = frame = _frame(lo, hi)
+    h, dpow, n = [ints[-1]], 1, len(ints) - 1
+    for c in reversed(ints[:-1]):
+        dpow *= den
+        h = [u * a + v * b for a, b in zip(h + [0], [0] + h)]
+        h[0] += c * dpow
+    cells, kids, counts = [(0, 0, h)], {}, []
+    for i, (k, e, h) in enumerate(cells):  # the loop visits the cells it appends
+        counts.append(_variations(h))
+        if counts[i] > 1:
+            left = [c << n - j for j, c in enumerate(h)]
+            right = _shift(left)
+            kids[i] = (len(cells), len(cells) + 1, right[0] == 0)
+            cells += [(2 * k, e + 1, left), (2 * k + 1, e + 1, right)]
+    for i in sorted(kids, reverse=True):
+        counts[i] = counts[kids[i][0]] + counts[kids[i][1]] + kids[i][2]
+    return frame, cells, kids, counts
+
+
+def _isolate_squarefree(ints, lo, hi):
+    """The roots of a square-free integer polynomial in open (lo, hi), whose
+    ends are not roots, as exact rationals (r, r) and isolating intervals,
+    ascending: the leaves of Sturm bisection, which splits a cell only
+    while it holds two or more roots."""
+    out, todo = [], [(lo, hi)]
+    while todo:
+        frame, cells, kids, counts = _tree(ints, *todo.pop())
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            if counts[i] > 1 and not kids[i][2]:
+                stack += kids[i][:2]
+            elif counts[i]:
+                k, e, _ = cells[i]
+                a, b = _point(frame, k, e), _point(frame, k + 1, e)
+                if counts[i] == 1:
+                    out.append((a, b))
+                    continue
+                # a root at the midpoint: its neighbours mid -+ eps enclose no other
+                mid, eps = (a + b) / 2, (b - a) / 4
+                while not (_sign_at(ints, mid - eps) and _sign_at(ints, mid + eps)
+                           and _tree(ints, mid - eps, mid + eps)[3][0] == 1):
+                    eps /= 2
+                out.append((mid, mid))
+                todo += [(a, mid - eps), (mid + eps, b)]
     out.sort(key=lambda t: t[0])
     return out
 
@@ -402,7 +476,7 @@ def isolate_real_roots(p, lo=Fraction(0), hi=None, classify_rational=True):
         if not a < b:
             continue
         # open interval: a root sitting exactly on an endpoint is excluded,
-        # and Sturm evaluation needs non-root endpoints; the square-free
+        # and isolation needs non-root endpoints; the square-free
         # factor has at most one root at each
         for end in (a, b):
             if _sign_at(ints, end) == 0:

@@ -1,6 +1,8 @@
 """Polynomial arithmetic, gcd, square-free factorization."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -380,3 +382,15 @@ def test_kernel_matches_fraction_reference(a, b, d, c):
         assert lead == ra[-1] / rd[-1]
         shifted = [F(0)] * (len(ra) - len(rd)) + [lead * x for x in rd]
         _assert_is(rest, _ref_add(ra, [-x for x in shifted]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10 ** 6), max_size=6))
+def test_pickle_and_copy_round_trip(coeffs):
+    p = Poly(coeffs)
+    copies = [pickle.loads(pickle.dumps(p, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(p), copy.deepcopy(p)]
+    for q in copies:
+        assert q == p and hash(q) == hash(p) and q.coeffs == p.coeffs
+        with pytest.raises(AttributeError):
+            q._ints = ()

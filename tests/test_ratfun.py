@@ -1,5 +1,7 @@
 """Rational functions, Stieltjes continued fractions, partial fractions."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import zip_longest
@@ -487,3 +489,16 @@ def test_canonical_arithmetic_takes_no_gcd(monkeypatch):
     # denominators sharing z - 1/2: Henrici's rule does need gcd(b, d)
     f + RationalFunction(P(1), P(F(-1, 2), 1))
     assert calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(canonical_pairs())
+def test_pickle_and_copy_round_trip(pair):
+    f, _, _ = pair
+    copies = [pickle.loads(pickle.dumps(f, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(f), copy.deepcopy(f)]
+    for g in copies:
+        assert g == f and hash(g) == hash(f)
+        assert (g.num, g.den) == (f.num, f.den)
+        with pytest.raises(AttributeError):
+            g.num = ONE

@@ -8,7 +8,7 @@ import pytest
 
 from starstring import roots
 from starstring.errors import RangeError
-from starstring.poly import ONE, Poly, squarefree_factor
+from starstring.poly import ONE, Poly, _sturm_sequence, squarefree_factor
 from starstring.roots import RootVal, isolate_real_roots
 
 
@@ -355,3 +355,213 @@ def test_refinement_and_classification_cost_no_bisection(monkeypatch):
     found = isolate_real_roots(quadratic, None, None)
     assert not any(rv.is_rational for rv, _ in found)
     assert len(calls) == unclassified
+
+
+# ---------------------------------------------------------------------------
+# isolation against Sturm bisection
+
+
+def _sign(ints, x):
+    val = roots._value(ints, x.numerator, x.denominator)
+    return (val > 0) - (val < 0)
+
+
+def _sturm_leaves(ints, lo, hi):
+    """Reference isolation: bisect (lo, hi) by Sturm counts, splitting a
+    cell while it holds two or more roots; a root at a midpoint becomes
+    (mid, mid) between neighbours mid -+ eps, eps = (hi - lo)/4 halved
+    until (mid - eps, mid + eps) holds that root alone."""
+    chain = _sturm_sequence(ints, [i * c for i, c in enumerate(ints)][1:])
+
+    def variations(x):
+        signs = [s for c in chain if (s := _sign(c, x))]
+        return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+
+    out = []
+    stack = [(lo, hi, variations(lo), variations(hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
+            out.append((a, b))
+        if va - vb <= 1:
+            continue
+        mid = (a + b) / 2
+        if _sign(ints, mid) == 0:
+            eps = (b - a) / 4
+            while True:
+                left, right = mid - eps, mid + eps
+                if _sign(ints, left) and _sign(ints, right):
+                    vl, vr = variations(left), variations(right)
+                    if vl - vr == 1:
+                        break
+                eps /= 2
+            out.append((mid, mid))
+            stack += [(a, left, va, vl), (right, b, vr, vb)]
+        else:
+            vm = variations(mid)
+            stack += [(a, mid, va, vm), (mid, b, vm, vb)]
+    out.sort(key=lambda t: t[0])
+    return out
+
+
+def _product(*factors):
+    out = ONE
+    for f in factors:
+        out = out * Poly([F(c) for c in f])
+    return out
+
+
+_NEAR_SQRT2 = F(1414213562373095, 10 ** 15)  # 4.9e-16 ~ 2**-50 below sqrt(2)
+_ISOLATION_CASES = [
+    # a root at the midpoint of a cell with three roots, and with two whose
+    # other root sits on the first neighbour tried, 1/2 - 1/4
+    (_product([-1, 1], [-2, 1], [-3, 1]), F(0), F(4)),
+    (_product([-1, 2], [-1, 4], [5, 0, 1]), F(0), F(1)),
+    # a root at the midpoint of a cell with one root: 1 in (0, 2)
+    (_product([-1, 1], [-3, 1]), F(0), F(4)),
+    (_product([-1, 1], [-2, 0, 1], [-3, 1]), F(0), F(4)),
+    # roots on both ends of the start interval
+    (_product([0, 1], [-1, 1], [-4, 1], [-3, 0, 1]), F(0), F(4)),
+    (_product([-1, 1], [-2, 0, 1], [-4, 1]), F(1), F(4)),
+    # clusters closer than 2**-40: two rationals 2**-45 apart, and a
+    # rational 2**-50 from sqrt(2)
+    (_product([-1, 3], [-(1 << 45) - 3, 3 << 45]), F(0), None),
+    (_product([-2, 0, 1], [-_NEAR_SQRT2.numerator, _NEAR_SQRT2.denominator]), None, None),
+    (_product([-2, 0, 1], [-_NEAR_SQRT2.numerator, _NEAR_SQRT2.denominator], [-1, 2]), F(1), F(2)),
+    # complex pairs within 2**-30 of the real axis, where Descartes' bound
+    # exceeds the count, next to real roots
+    (_product([1 + (1 << 60), -(1 << 62), 1 << 62], [-(1 << 30) - 1, 2 << 30]), F(0), F(1)),
+    (_product([1 + (1 << 60), -(1 << 62), 1 << 62], [-1, 2], [-3, 0, 1]), None, None),
+    # unbounded sides
+    (_product([7, 0, -5, 0, 1]), None, None),
+    (_product([-1, 1], [1, 1], [-2, 0, 1]), None, F(1)),
+    (_product([-1, 1], [1, 1], [-2, 0, 1]), F(-1), None),
+]
+
+
+def _random_isolation_cases(rng, count):
+    cases = []
+    for _ in range(count):
+        factors = []
+        for _ in range(rng.randint(1, 5)):
+            r = rng.random()
+            if r < 0.4:
+                factors.append([-rng.randint(-16, 16), rng.choice((1, 2, 3, 4, 8))])
+            elif r < 0.7:
+                factors.append([rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 5)])
+            else:
+                c, s = rng.randint(-20, 20), rng.randint(1, 1 << 30)
+                factors.append([c * c * s * s + rng.randint(1, 3), -2 * c * s * s, s * s])
+        p = _product(*factors)
+        if p.degree > 0:
+            bounds = [rng.choice((None, F(rng.randint(-16, 16), rng.choice((1, 2, 3))))) for _ in "ab"]
+            cases.append((p, *bounds))
+    return cases
+
+
+def _listing(p, lo, hi, classify):
+    return [(rv.lo, rv.hi, rv.rat, m) for rv, m in isolate_real_roots(p, lo, hi, classify)]
+
+
+def test_isolation_reproduces_sturm_leaves(monkeypatch):
+    midpoints = 0
+    cases = _ISOLATION_CASES + _random_isolation_cases(random.Random(20263), 150)
+    for p, lo, hi in cases:
+        for factor, _ in squarefree_factor(p):
+            ints = factor.primitive_int()
+            for a, b in [(F(-1000), F(1000)), (F(-7, 3), F(11, 5))]:
+                if _sign(ints, a) and _sign(ints, b):
+                    leaves = roots._isolate_squarefree(ints, a, b)
+                    assert leaves == _sturm_leaves(ints, a, b)
+                    midpoints += sum(1 for x, y in leaves if x == y)
+        for classify in (True, False):
+            got = _listing(p, lo, hi, classify)
+            with monkeypatch.context() as m:
+                m.setattr(roots, "_isolate_squarefree", _sturm_leaves)
+                assert got == _listing(p, lo, hi, classify)
+    # roots at the midpoints of cells with two or more roots were rebuilt
+    assert midpoints >= 10
+
+
+# ---------------------------------------------------------------------------
+# the seeded refinement
+
+
+def _ten_real_roots():
+    """(z^2 - 2)(z^2 - 3)(z^2 - 5)(z^2 - 7)(z^2 - 11), ascending integer coefficients."""
+    coeffs = [1]
+    for p in (2, 3, 5, 7, 11):
+        coeffs = _int_mul(coeffs, [-p, 0, 1])
+    return coeffs
+
+
+def _isolated(coeffs):
+    found = isolate_real_roots(Poly([F(c) for c in coeffs]), None, None, classify_rational=False)
+    return [(rv.ints, rv.lo, rv.hi) for rv, _ in found]
+
+
+def _root_floats(coeffs):
+    out = []
+    for ints, lo, hi in _isolated(coeffs):
+        root = RootVal(ints=ints, lo=lo, hi=hi)
+        root.refine_to_width(F(1, 1 << 60))
+        out.append(float(root.lo))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["wrong cell", "outside", "nan", "inf", "neighbour"])
+def test_a_bad_float_guess_never_changes_a_cell(monkeypatch, kind):
+    coeffs = _ten_real_roots()
+    floats = _root_floats(coeffs)
+    guess = roots._guess
+
+    def bad(ints, lo, hi):
+        good = guess(ints, lo, hi)
+        if kind == "wrong cell":
+            return good + (hi - lo) * 2 ** -30
+        if kind == "outside":
+            return hi + (hi - lo)
+        if kind in ("nan", "inf"):
+            return float(kind)
+        return next(r for r in floats if not lo <= r <= hi)
+
+    monkeypatch.setattr(roots, "_guess", bad)
+    seeded = []
+    monkeypatch.setattr(roots, "_seed", lambda *args, seed=roots._seed: seeded.append(1) or seed(*args))
+    for ints, lo, hi in _isolated(coeffs):
+        frame = roots._frame(lo, hi)
+        for depth in (9, 40, 64, 130):
+            got = _kernel(ints, frame, depth)
+            assert (got if isinstance(got, F) else got[:2]) == _plain_bisect(ints, frame, depth)
+        stepped = _kernel(ints, frame, 20)
+        assert _kernel(ints, frame, 100, stepped) == _kernel(ints, frame, 100)
+    assert seeded
+
+
+def test_refinement_of_coefficients_beyond_float_range():
+    a = 3 ** 700  # 1110-bit coefficients: float(a) overflows
+    with pytest.raises(OverflowError):
+        float(a)
+    for coeffs in ([-(2 * a + 1), 0, a], _int_mul([-(2 * a + 1), 0, a], [-3 * a, 7, a])):
+        for ints, lo, hi in _isolated(coeffs):
+            frame = roots._frame(lo, hi)
+            for depth in (12, 64, 200):
+                got = _kernel(ints, frame, depth)
+                assert (got if isinstance(got, F) else got[:2]) == _plain_bisect(ints, frame, depth)
+
+
+def test_a_certified_seed_refines_in_few_evaluations(monkeypatch):
+    calls = []
+    value = roots._value
+    monkeypatch.setattr(roots, "_value", lambda *args: calls.append(1) or value(*args))
+    found = _isolated(_ten_real_roots())
+    assert len(found) == 10
+    for ints, lo, hi in found:
+        root = RootVal(ints=ints, lo=lo, hi=hi)
+        del calls[:]
+        root.refine_to_width(F(1, 1 << 64))
+        lo, hi = root.bounds()
+        assert hi - lo <= F(1, 1 << 64) and _sign(ints, lo) * _sign(ints, hi) < 0
+        # the exact step (f and f') and the two ends of the cell;
+        # quadratic interval refinement alone takes about 16
+        assert len(calls) <= 8

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import starstring
-from starstring import errors
+from starstring import errors, roots
 
 
 def test_no_assert_statements():
@@ -67,6 +67,22 @@ def test_poly_storage_stays_in_poly():
     """``Poly``'s (scale, primitive ints) form is known to ``poly.py`` alone:
     no other module reads its storage fields or builds one from parts."""
     assert _uses_outside_poly({"_scale", "_ints", "_canonical", "_new", "_store"}) == []
+
+
+def test_roots_isolate_by_descartes_bisection_alone():
+    """``roots.py`` builds no Sturm chain and holds one isolation path: only
+    ``_tree`` counts sign variations, and only ``isolate_real_roots`` and
+    ``_isolate_squarefree`` isolate."""
+    tree = ast.parse(Path(roots.__file__).read_text(encoding="utf-8"))
+    names = {
+        node.name: {getattr(sub, "id", None) for sub in ast.walk(node)}
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set().union(*names.values()) | imported
+    assert not used & {"_sturm_sequence", "_variations_at"}
+    assert sorted(name for name, refs in names.items() if "_variations" in refs) == ["_tree"]
+    assert sorted(name for name in names if "isolat" in name) == ["_isolate_squarefree", "isolate_real_roots"]
 
 
 def test_every_error_class_is_raised_elsewhere():
