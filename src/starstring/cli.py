@@ -216,6 +216,16 @@ def _cmd_forward(args):
     return 0
 
 
+def _plan_json(plan):
+    """The ``.plan`` block of a resolved plan: each pole's edges and residue
+    shares, then the plan again as a ``--plan`` input."""
+    assignments = [
+        {"value": format_rational(v), "edges": list(e), "shares": [format_rational(s) for s in sh]}
+        for e, (v, sh) in zip(plan.partition, plan.residue_split)
+    ]
+    return {"assignments": assignments, "reusable_plan": plan.to_json()}
+
+
 def _cmd_inverse_center(args):
     spectra = parse_spectra(_read(args.spectra, "spectra"))
     lengths = _parse_lengths(args.lengths)
@@ -226,9 +236,7 @@ def _cmd_inverse_center(args):
         return 2
     rec = ic.reconstruct_center(spectra, lengths, plan, validate=False)
     _write(args, "", serialize_graph(rec.graph))
-    plan_out = rec.plan_used.to_json()
-    plan_out["reusable_plan"] = rec.plan_used.as_plan().to_json()
-    _write(args, ".plan", _dump(plan_out))
+    _write(args, ".plan", _dump(_plan_json(rec.plan_used)))
     if args.enumerate:
         _write(args, ".constraints", _dump(ic.enumerate_constraints(spectra, lengths, rec)))
     return 0
@@ -257,8 +265,7 @@ def _cmd_inverse_pendant(args):
         ],
     }
     if rec.subgraph_plan is not None:
-        details["subgraph_plan"] = rec.subgraph_plan.to_json()
-        details["subgraph_plan"]["reusable_plan"] = rec.subgraph_plan.as_plan().to_json()
+        details["subgraph_plan"] = _plan_json(rec.subgraph_plan)
     _write(args, ".plan", _dump(details))
     if args.enumerate:
         sub = ip.validate_subgraph_data(rec.decomposition, lengths)

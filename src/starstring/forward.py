@@ -69,11 +69,11 @@ def char_polys(graph):
     return phi_n, phi_d
 
 
-def spectrum_of(p, classify_rational=True):
+def spectrum_of(p):
     """Positive squared eigenvalues: roots of p in (0, oo) with multiplicity."""
     if p.degree <= 0:
         return []
-    return isolate_real_roots(p, Fraction(0), None, classify_rational)
+    return isolate_real_roots(p, Fraction(0), None)
 
 
 def center_quotient(graph):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import InvariantViolation, PlanInfeasible
+from .errors import InvariantViolation, IrrationalPole, PlanInfeasible
 from .model import Edge, ReconstructionPlan, Root, StarGraph
 from .poly import Poly
 from .rational import format_rational
@@ -70,6 +70,24 @@ def _cap_issues(spectra, neumann_cap, dirichlet_cap):
     ]
 
 
+def _chain_issues(lower, upper, lo_name, up_name):
+    """A chain issue for each break of lower_1 < upper_1 and
+    upper_k <= lower_k+1 <= upper_k+1 over the n = len(upper) values."""
+    issues = []
+    if not lower[0] < upper[0]:
+        issues.append(Issue(
+            "chain", f"need {lo_name}_1 < {up_name}_1, got {lower[0]} >= {upper[0]}"
+        ))
+    for k in range(1, len(upper)):
+        if not upper[k - 1] <= lower[k] <= upper[k]:
+            issues.append(Issue(
+                "chain",
+                f"need {up_name}_{k} <= {lo_name}_{k + 1} <= {up_name}_{k + 1} "
+                f"({upper[k - 1]}, {lower[k]}, {upper[k]})",
+            ))
+    return issues
+
+
 def validate_center(spectra, q):
     """Check the centre-root solvability conditions, reporting every violation.
 
@@ -98,15 +116,7 @@ def validate_center(spectra, q):
     if not caps and m_positive is not None and n > 0:
         lam = spectra.neumann_values()
         zet = spectra.dirichlet_values()
-        if not lam[0] < zet[0]:
-            issues.append(Issue("chain", f"need lambda_1 < zeta_1, got {lam[0]} >= {zet[0]}"))
-        for k in range(1, n):
-            if not zet[k - 1] <= lam[k] <= zet[k]:
-                issues.append(Issue(
-                    "chain",
-                    f"need zeta_{k} <= lambda_{k + 1} <= zeta_{k + 1} "
-                    f"({zet[k - 1]}, {lam[k]}, {zet[k]})",
-                ))
+        issues += _chain_issues(lam, zet, "lambda", "zeta")
         if m_positive and not zet[n - 1] < lam[n]:
             issues.append(Issue("chain", f"need zeta_n < lambda_n+1, got {zet[n - 1]} >= {lam[n]}"))
         for k in range(1, n):
@@ -171,37 +181,10 @@ def build_psi(spectra, lengths):
 # plans
 
 
-@dataclass(frozen=True)
-class PoleAssignment:
-    value: Fraction
-    edges: tuple  # one edge index per occurrence, pairwise distinct
-    shares: tuple  # positive fractions of the total residue, sum 1
-
-    def to_json(self):
-        return {
-            "value": format_rational(self.value),
-            "edges": list(self.edges),
-            "shares": [format_rational(s) for s in self.shares],
-        }
-
-
-@dataclass(frozen=True)
-class ConcretePlan:
-    assignments: tuple  # per distinct dirichlet value, ascending
-
-    def to_json(self):
-        return {"assignments": [a.to_json() for a in self.assignments]}
-
-    def as_plan(self):
-        return ReconstructionPlan(
-            partition=tuple(a.edges for a in self.assignments),
-            residue_split=tuple((a.value, a.shares) for a in self.assignments),
-        )
-
-
 def plan_partition(distinct, q, plan=None):
     """Resolve the (possibly partial) user plan over the poles ``distinct``,
-    ((value, multiplicity), ...) ascending, into a concrete assignment.
+    ((value, multiplicity), ...) ascending, into a complete
+    ReconstructionPlan: the edges and residue shares of every pole.
 
     Default: occurrences of each value go to the least-loaded edges (ties
     by index), residues are split equally.  A user partition and/or residue
@@ -218,7 +201,7 @@ def plan_partition(distinct, q, plan=None):
             if v not in known:
                 raise PlanInfeasible(f"residue split names an absent pole {v}")
     load = [0] * q
-    assignments = []
+    partition, split = [], []
     for idx, (value, mult) in enumerate(distinct):
         if mult > q:
             raise PlanInfeasible(f"cannot place {mult} occurrences of {value} on {q} edges")
@@ -244,8 +227,9 @@ def plan_partition(distinct, q, plan=None):
                 raise PlanInfeasible(f"residue shares for {value} must be positive and sum to 1")
         for e in edges:
             load[e] += 1
-        assignments.append(PoleAssignment(value, edges, shares))
-    return ConcretePlan(tuple(assignments))
+        partition.append(edges)
+        split.append((value, shares))
+    return ReconstructionPlan(tuple(partition), tuple(split))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +239,7 @@ def plan_partition(distinct, q, plan=None):
 @dataclass(frozen=True)
 class CenterReconstruction:
     graph: StarGraph
-    plan_used: ConcretePlan
+    plan_used: ReconstructionPlan
     psi: RationalFunction
     residues: tuple  # ((pole, total residue), ...)
 
@@ -271,35 +255,52 @@ def _edge_from_summand(num, den, length):
     return edge
 
 
-def _edge_summands(cplan, residue_of, q):
-    """Each edge's proper summand (n, d): its shares of the residues of its poles."""
+def _realize(pf, cluster, occurrences, lengths, plan):
+    """(edges, plan used) of the star edges, one per length, that split
+    the quotient pf + cluster (``partial_fractions``' pair); ``occurrences``
+    gives each pole of pf its edge count.  The irrational cluster goes whole
+    to the least-loaded edge, which keeps it exact; a user plan beside it
+    is refused."""
+    q = len(lengths)
+    if cluster.den.degree > 0 and plan is not None and (
+        plan.partition is not None or plan.residue_split is not None
+    ):
+        raise IrrationalPole(
+            "user plans require rational subgraph spectra; "
+            f"a degree-{cluster.den.degree} pole cluster is irrational"
+        )
+    used = plan_partition(occurrences, q, plan)
+    residue_of = dict(pf.terms)
     per_edge = [[] for _ in range(q)]
-    for assignment in cplan.assignments:
-        total = residue_of[assignment.value]
-        for edge_idx, share in zip(assignment.edges, assignment.shares):
-            per_edge[edge_idx].append((assignment.value, total * share))
-    return [_pole_sum(sorted(terms)) for terms in per_edge]
+    for edges, (value, shares) in zip(used.partition, used.residue_split):
+        for edge_idx, share in zip(edges, shares):
+            per_edge[edge_idx].append((value, residue_of[value] * share))
+    summands = [_pole_sum(terms) for terms in per_edge]
+    if cluster.den.degree > 0:
+        # the cluster's poles are not the edge's, so n*C + S*d over d*C
+        # stays coprime
+        target = min(range(q), key=lambda j: (len(per_edge[j]), j))
+        n, d = summands[target]
+        summands[target] = (n * cluster.den + cluster.num * d, d * cluster.den)
+    edges = [_edge_from_summand(n, d, l) for (n, d), l in zip(summands, lengths)]
+    return edges, used
 
 
 def reconstruct_center(spectra, lengths, plan=None, validate=True):
     """Recover a centre-rooted star graph realizing the given spectra."""
-    q = len(lengths)
-    if q < 2:
+    if len(lengths) < 2:
         raise InvariantViolation("need at least two string lengths")
     if validate:
-        report = validate_center(spectra, q)
+        report = validate_center(spectra, len(lengths))
         if not report.valid:
             raise InvariantViolation(
                 "; ".join(i.message for i in report.issues) or "invalid spectral data"
             )
     psi = build_psi(spectra, lengths)
-    poles = [v for v, _ in spectra.dirichlet_sq]
-    pf = partial_fractions_at(psi, poles)
-    cplan = plan_partition(spectra.dirichlet_sq, q, plan)
-    summands = _edge_summands(cplan, dict(pf.terms), q)
-    edges = [_edge_from_summand(n, d, l) for (n, d), l in zip(summands, lengths)]
+    pf, cluster = partial_fractions_at(psi, [v for v, _ in spectra.dirichlet_sq])
+    edges, used = _realize(pf, cluster, spectra.dirichlet_sq, lengths, plan)
     graph = StarGraph(Root.CENTER, pf.linear_coeff, tuple(edges))
-    return CenterReconstruction(graph, cplan, psi, pf.terms)
+    return CenterReconstruction(graph, used, psi, pf.terms)
 
 
 def reconstruct_center_grouped(psi, factors, lengths):
@@ -330,6 +331,7 @@ def enumerate_constraints(spectra, lengths, rec):
     """
     q = len(lengths)
     residue_of = dict(rec.residues)
+    used = rec.plan_used.to_json()
     partition_count = 1
     poles = []
     for value, mult in spectra.dirichlet_sq:
@@ -345,9 +347,6 @@ def enumerate_constraints(spectra, lengths, rec):
         "central_mass": format_rational(rec.graph.central_mass),
         "poles": poles,
         "feasible_partitions": partition_count,
-        "partition_used": [list(a.edges) for a in rec.plan_used.assignments],
-        "shares_used": {
-            format_rational(a.value): [format_rational(s) for s in a.shares]
-            for a in rec.plan_used.assignments
-        },
+        "partition_used": used["partition"],
+        "shares_used": used["residue_split"],
     }

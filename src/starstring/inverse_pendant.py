@@ -4,10 +4,12 @@ The quotient Phi(z) = gamma * prod(1 - z/lambda_k^2) / prod(1 - z/mu_k^2)
 with gamma = main_length + (sum_j 1/l_j)^-1 expands into a Stieltjes
 continued fraction whose leading coefficients are the main edge: the
 unique cut index is the first partial sum of the constants reaching the
-main length.  The continued-fraction tail (with the common spectral values
-re-inserted) is the reciprocal spectral quotient of the q-1 edge subgraph,
-which the centre-root algorithm then realizes.  The main edge is uniquely
-determined; the subgraph inherits the usual residue-split freedom.
+main length.  The tail is the expansion's remainder at the cut, read off
+the pair ``cf_expand`` leaves there; with the common spectral values
+re-inserted it is the reciprocal spectral quotient of the q-1 edge
+subgraph, which the centre-root realizer then splits into edges.  The
+main edge is uniquely determined; the subgraph inherits the usual
+residue-split freedom.
 """
 
 from __future__ import annotations
@@ -15,28 +17,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolation, IrrationalPole, MainTooLong, NotStieltjes
+from .errors import InvariantViolation, MainTooLong, NotStieltjes
 from .inverse_center import (
-    ConcretePlan,
     Issue,
     ValidationReport,
     _cap_issues,
+    _chain_issues,
     _common_values,
     _edge_from_summand,
-    _edge_summands,
+    _realize,
     _spectral_quotient,
     _sum_reciprocal,
-    plan_partition,
     validate_center,
 )
-from .model import Edge, Root, SpectrumPair, StarGraph
+from .model import Edge, ReconstructionPlan, Root, SpectrumPair, StarGraph
 from .poly import Poly
 from .ratfun import (
     RationalFunction,
     StieltjesCF,
-    cf_expand,
-    cf_to_ratfun,
     partial_fractions,
+    _cf_peel,
     _polynomial_part,
 )
 from .roots import isolate_real_roots
@@ -70,9 +70,11 @@ class MainEdgeDecomposition:
 def decompose_main_from_quotient(phi, main_length, common_zeros=()):
     """Cut the continued fraction of phi at the main-string length.
 
-    gamma = phi(0) is the sum of the continued fraction's constants.
+    gamma = phi(0) is the sum of the continued fraction's constants.  The
+    tail is the expansion's remainder at the cut with the tail constant t
+    put back: (num + t*den)/den for the pair (num, den) left there.
     """
-    cf = cf_expand(phi)
+    cf, rests = _cf_peel(phi)
     total = sum(cf.a, Fraction(0))
     main_length = Fraction(main_length)
     if main_length >= total:
@@ -89,12 +91,10 @@ def decompose_main_from_quotient(phi, main_length, common_zeros=()):
     tail_constant = prefix - main_length
     lengths = list(cf.a[:cut]) + [cf.a[cut] - tail_constant]
     main = Edge(tuple(lengths), cf.b[:cut])
-    if cut == cf.depth:
-        if tail_constant <= 0:
-            raise InvariantViolation("tail of the full expansion must keep a constant")
-        tail = RationalFunction.constant(tail_constant)
-    else:
-        tail = cf_to_ratfun(StieltjesCF((tail_constant,) + cf.a[cut + 1:], cf.b[cut:]))
+    if cut == cf.depth and tail_constant <= 0:
+        raise InvariantViolation("tail of the full expansion must keep a constant")
+    num, den = rests[cut]
+    tail = RationalFunction.from_coprime(num + den.scale(tail_constant), den)
     return MainEdgeDecomposition(
         main, cut, tail_constant, tail, cf, total, tuple(common_zeros)
     )
@@ -137,16 +137,7 @@ def validate_pendant(spectra, main_length, lengths):
         issues.append(Issue("count", "need at least one eigenvalue pair"))
     elif not caps:
         mu = spectra.neumann_values()
-        lam = spectra.dirichlet_values()
-        if not mu[0] < lam[0]:
-            issues.append(Issue("chain", f"need mu_1 < lambda_1, got {mu[0]} >= {lam[0]}"))
-        for k in range(1, n):
-            if not lam[k - 1] <= mu[k] <= lam[k]:
-                issues.append(Issue(
-                    "chain",
-                    f"need lambda_{k} <= mu_{k + 1} <= lambda_{k + 1} "
-                    f"({lam[k - 1]}, {mu[k]}, {lam[k]})",
-                ))
+        issues += _chain_issues(mu, spectra.dirichlet_values(), "mu", "lambda")
     issues += caps
     if not issues:
         try:
@@ -174,46 +165,28 @@ def validate_pendant(spectra, main_length, lengths):
 class PendantReconstruction:
     graph: StarGraph
     decomposition: MainEdgeDecomposition
-    subgraph_plan: ConcretePlan | None
+    subgraph_plan: ReconstructionPlan | None
 
 
 def _subgraph_edges(psi_sub, lengths, common_zeros, plan):
-    """Realize the q-1 edge subgraph from its spectral quotient.
+    """(central mass, edges, plan used) of the q-1 edge subgraph.
 
-    Rational poles are distributed per the plan (default: round-robin by
-    load, equal residue shares).  The irrational pole cluster of
-    ``partial_fractions`` is kept whole and assigned to a single edge,
-    which stays exact; fine-grained user plans over such poles are refused.
+    One string with no plan needs no split: its summand is the quotient's
+    proper part.  Anything else goes to the centre realizer.
     """
-    q = len(lengths)
-    if q == 1:
-        # single string: no split at all; shared spectral values are
-        # impossible here (their multiplicities would have to sum to <= 1)
+    if len(lengths) == 1:
+        # shared spectral values are impossible here (their multiplicities
+        # would have to sum to <= 1)
         if common_zeros:
             raise NotStieltjes("a two-string graph admits no shared eigenvalues")
-        a0, _, proper = _polynomial_part(psi_sub)
-        return a0, [_edge_from_summand(proper.num, proper.den, lengths[0])], None
+        if plan is None:
+            a0, _, proper = _polynomial_part(psi_sub)
+            return a0, [_edge_from_summand(proper.num, proper.den, lengths[0])], None
     pf, cluster = partial_fractions(psi_sub)
-    if cluster.den.degree > 0 and plan is not None and (
-        plan.partition is not None or plan.residue_split is not None
-    ):
-        raise IrrationalPole(
-            "user plans require rational subgraph spectra; "
-            f"a degree-{cluster.den.degree} pole cluster is irrational"
-        )
     common = dict(common_zeros)
     occurrences = tuple((v, 1 + common.get(v, 0)) for v, _ in pf.terms)
-    cplan = plan_partition(occurrences, q, plan)
-    summands = _edge_summands(cplan, dict(pf.terms), q)
-    if cluster.den.degree > 0:
-        # the least-loaded edge takes the cluster whole; its poles are not
-        # the edge's, so n*C + S*d over d*C stays coprime
-        load = [sum(j in a.edges for a in cplan.assignments) for j in range(q)]
-        target = min(range(q), key=lambda j: (load[j], j))
-        n, d = summands[target]
-        summands[target] = (n * cluster.den + cluster.num * d, d * cluster.den)
-    edges = [_edge_from_summand(n, d, l) for (n, d), l in zip(summands, lengths)]
-    return pf.linear_coeff, edges, cplan
+    edges, used = _realize(pf, cluster, occurrences, lengths, plan)
+    return pf.linear_coeff, edges, used
 
 
 def reconstruct_pendant(spectra, main_length, lengths, plan=None, validate=True):

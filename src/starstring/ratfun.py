@@ -188,11 +188,19 @@ def cf_expand(f):
     and the b_k its masses.  Positivity of every peeled coefficient
     certifies the S0 property; any violation raises NotStieltjes.
     """
+    return _cf_peel(f)[0]
+
+
+def _cf_peel(f):
+    """``cf_expand``'s loop: (cf, rests), rests[k] the pair (num, den) left
+    once a_k is peeled, f_k - a_k for f_k = a_k + 1/(-b_{k+1}*z + 1/f_{k+1});
+    each peel has determinant 1, so every pair is as coprime as f's."""
     if f.is_zero:
         raise NotStieltjes("the zero function is not S0")
     num, den = f.num, f.den
     a = []
     b = []
+    rests = []
     while True:
         dn, dd = num.degree, den.degree
         if dn == dd:
@@ -206,6 +214,7 @@ def cf_expand(f):
         if const < 0:
             raise NotStieltjes(f"negative limit at infinity: {const}")
         a.append(const)
+        rests.append((num, den))
         if num.is_zero:
             break
         if num.degree != dd - 1:
@@ -216,7 +225,7 @@ def cf_expand(f):
         b.append(-slope)
         if den.is_zero:
             raise NotStieltjes("continued fraction terminated inside a linear level")
-    return StieltjesCF(tuple(a), tuple(b))
+    return StieltjesCF(tuple(a), tuple(b)), rests
 
 
 def _ladder(even, odd, steps):
@@ -337,11 +346,12 @@ def partial_fractions(f):
 
 
 def partial_fractions_at(f, poles):
-    """Partial fractions when the simple rational poles are already known."""
+    """``partial_fractions`` when the simple rational poles are already
+    known: (pf, 0/1), as there is no irrational cluster."""
     a0, const, proper = _polynomial_part(f)
     if Poly.from_linear_roots(poles) != proper.den:
         raise BadShape("declared poles do not match the reduced denominator")
-    return PartialFractions(a0, _residues(proper, poles), const)
+    return PartialFractions(a0, _residues(proper, poles), const), RationalFunction.constant(0)
 
 
 def split_proper_by_factors(proper, factors):

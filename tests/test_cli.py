@@ -625,3 +625,131 @@ def test_pendant_run_without_main_length_says_it_is_required(ex_files, capsys, c
     assert capsys.readouterr().err == (
         '{"error": "E_SCHEMA", "message": "--main-length is required for pendant validation"}\n')
     assert not out.exists()
+
+
+# a q = 3 centre run with a user plan: the tied value 2 goes to edges 2 and 0
+PLANNED_CENTER = {
+    "neumann_squared": [{"value": v} for v in ("1", "2", "4")],
+    "dirichlet_squared": [{"value": "2", "mult": 2}, {"value": "5"}],
+}
+PLANNED_CENTER_PLAN = {"partition": [[2, 0], [1]], "residue_split": {"2": ["1/4", "3/4"]}}
+PLANNED_CENTER_OUT = {
+    "": {
+        "root": "center",
+        "central_mass": "0",
+        "edges": [
+            {"lengths": ["48/103", "55/103"], "masses": ["10609/5280"]},
+            {"lengths": ["18/31", "44/31"], "masses": ["961/1980"]},
+            {"lengths": ["144/103", "165/103"], "masses": ["10609/15840"]},
+        ],
+    },
+    ".plan": {
+        "assignments": [
+            {"value": "2", "edges": [2, 0], "shares": ["1/4", "3/4"]},
+            {"value": "5", "edges": [1], "shares": ["1"]},
+        ],
+        "reusable_plan": {
+            "partition": [[2, 0], [1]],
+            "residue_split": {"2": ["1/4", "3/4"], "5": ["1"]},
+        },
+    },
+    ".constraints": {
+        "central_mass": "0",
+        "poles": [
+            {"value": "2", "mult": 2, "total_residue": "55/18", "free_parameters": 1,
+             "constraint": "shares positive, summing to the total residue"},
+            {"value": "5", "mult": 1, "total_residue": "55/9", "free_parameters": 0,
+             "constraint": "shares positive, summing to the total residue"},
+        ],
+        "feasible_partitions": 9,
+        "partition_used": [[2, 0], [1]],
+        "shares_used": {"2": ["1/4", "3/4"], "5": ["1"]},
+    },
+}
+# the irrational cluster goes whole to edge 1, the one 20 leaves free
+MIXED_PENDANT_OUT = {
+    "": {
+        "root": "pendant",
+        "central_mass": "0",
+        "main_edge": {"lengths": ["1/3"], "masses": []},
+        "edges": [
+            {"lengths": ["804291/426101", "474012/426101"],
+             "masses": ["181562062201/2541623903280"]},
+            {"lengths": ["439947177/1233949537", "2402917499603238240/5106099791832818483",
+                         "715325000/4138013459"],
+             "masses": ["1522631459862514369/15593165099867290320",
+                        "17123155386865144681/10506317972827950000"]},
+        ],
+    },
+    ".plan": {
+        "gamma": "13/12",
+        "cf": {
+            "a": ["385/608", "6930/21641", "173139172087/2462156472288", "10729875/180140216"],
+            "b": ["152/1155", "197192792/181648005", "106745057304364/35437461593625"],
+        },
+        "main_mass_count": 0,
+        "tail_constant": "547/1824",
+        "central_mass": "0",
+        "common_zeros": [],
+        "subgraph_plan": {
+            "assignments": [{"value": "20", "edges": [0], "shares": ["1"]}],
+            "reusable_plan": {"partition": [[0]], "residue_split": {"20": ["1"]}},
+        },
+    },
+    ".constraints": {"subgraph_report": None},
+}
+
+
+@pytest.mark.parametrize("spectra, argv, expected", [
+    (PLANNED_CENTER, ["inverse-center", "--lengths", "1,2,3"], PLANNED_CENTER_OUT),
+    (MIXED_SPECTRA, ["inverse-pendant", "--main-length", "1/3", "--lengths", "3,1"],
+     MIXED_PENDANT_OUT),
+], ids=["center-with-plan", "pendant-mixed-poles"])
+def test_graph_plan_and_constraints_bytes(tmp_path, spectra, argv, expected):
+    argv = argv + ["--spectra", write(tmp_path / "s.json", spectra), "--enumerate",
+                   "--out", str(tmp_path / "g.json")]
+    if argv[0] == "inverse-center":
+        argv += ["--plan", write(tmp_path / "p.json", PLANNED_CENTER_PLAN)]
+    assert main(argv) == 0
+    for key, obj in expected.items():
+        got = (tmp_path / f"g{key}.json").read_bytes()
+        assert got == (json.dumps(obj, indent=2) + "\n").encode()
+
+
+# a two-string pendant graph (one non-main edge); with --main-length 1 the
+# subgraph quotient's only pole is 8/3, with 1/2 both poles are irrational
+TWO_STRING_SPECTRA = {
+    "neumann_squared": [{"value": "1"}, {"value": "3"}],
+    "dirichlet_squared": [{"value": "2"}, {"value": "4"}],
+}
+BAD_PLAN = {"partition": [[5], [7, 8]], "residue_split": {"99": ["1/2", "1/2"]}}
+
+
+@pytest.mark.parametrize("main_length, plan, status, code", [
+    ("1", BAD_PLAN, 2, "E_PLAN_INFEASIBLE"),
+    ("1", {"partition": [[1]]}, 2, "E_PLAN_INFEASIBLE"),
+    ("1", {"residue_split": {"99": ["1"]}}, 2, "E_PLAN_INFEASIBLE"),
+    ("1/2", BAD_PLAN, 1, "E_IRRATIONAL_POLE"),
+], ids=["partition-length", "bad-edge", "absent-pole", "irrational"])
+def test_two_string_pendant_checks_its_plan(tmp_path, capsys, main_length, plan, status, code):
+    out = tmp_path / "g.json"
+    argv = ["inverse-pendant", "--spectra", write(tmp_path / "s.json", TWO_STRING_SPECTRA),
+            "--main-length", main_length, "--lengths", "1",
+            "--plan", write(tmp_path / "p.json", plan), "--out", str(out)]
+    assert main(argv) == status
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == code
+    assert not out.exists()
+
+
+def test_two_string_pendant_follows_a_feasible_plan(tmp_path):
+    spectra = write(tmp_path / "s.json", TWO_STRING_SPECTRA)
+    argv = ["inverse-pendant", "--spectra", spectra, "--main-length", "1", "--lengths", "1"]
+    assert main(argv + ["--out", str(tmp_path / "a.json")]) == 0
+    plan = write(tmp_path / "p.json", {"partition": [[0]], "residue_split": {"8/3": ["1"]}})
+    assert main(argv + ["--plan", plan, "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    # without a plan nothing is split, so no subgraph plan is reported
+    assert "subgraph_plan" not in json.loads((tmp_path / "a.plan.json").read_text())
+    used = json.loads((tmp_path / "b.plan.json").read_text())["subgraph_plan"]
+    assert used["reusable_plan"] == {"partition": [[0]], "residue_split": {"8/3": ["1"]}}

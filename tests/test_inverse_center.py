@@ -14,6 +14,7 @@ from starstring.inverse_center import (
     reconstruct_center_grouped,
     validate_center,
 )
+from starstring.inverse_pendant import validate_pendant
 from starstring.model import ReconstructionPlan, SpectrumPair
 from starstring.poly import Poly, poly_gcd
 from tests.conftest import random_center_graph, random_center_spectral_data
@@ -33,6 +34,22 @@ class TestValidate:
         report = validate_center(bad, 2)
         assert not report.valid
         assert any(i.code == "chain" for i in report.issues)
+
+    def test_chain_messages(self):
+        # both validators word the same chain, with their own names
+        values = lambda *vs: tuple((v, 1) for v in vs)
+        issues = lambda report: [(i.code, i.message) for i in report.issues]
+        center = SpectrumPair(values(F(2), F(13, 2), F(7), F(8)), values(F(1, 2), F(5), F(9)))
+        assert issues(validate_center(center, 2)) == [
+            ("chain", "need lambda_1 < zeta_1, got 2 >= 1/2"),
+            ("chain", "need zeta_1 <= lambda_2 <= zeta_2 (1/2, 13/2, 5)"),
+            ("chain", "need zeta_n < lambda_n+1, got 9 >= 8"),
+        ]
+        pendant = SpectrumPair(values(F(2), F(13, 2), F(7)), values(F(1, 2), F(5), F(9)))
+        assert issues(validate_pendant(pendant, 1, [F(1), F(1)])) == [
+            ("chain", "need mu_1 < lambda_1, got 2 >= 1/2"),
+            ("chain", "need lambda_1 <= mu_2 <= lambda_2 (1/2, 13/2, 5)"),
+        ]
 
     def test_multiplicity_cap(self):
         bad = SpectrumPair(
@@ -70,14 +87,12 @@ class TestPlans:
     def test_explicit_split(self):
         plan = ReconstructionPlan(residue_split=((F(2), (F(2, 3), F(1, 3))),))
         cplan = plan_partition(EX_SPECTRA.dirichlet_sq, 2, plan)
-        (assignment,) = cplan.assignments
-        assert assignment.edges == (0, 1)
-        assert assignment.shares == (F(2, 3), F(1, 3))
+        assert cplan.partition == ((0, 1),)
+        assert cplan.residue_split == ((F(2), (F(2, 3), F(1, 3))),)
 
     def test_default_equal_split(self):
         cplan = plan_partition(EX_SPECTRA.dirichlet_sq, 2)
-        (assignment,) = cplan.assignments
-        assert assignment.shares == (F(1, 2), F(1, 2))
+        assert cplan.residue_split == ((F(2), (F(1, 2), F(1, 2))),)
 
     def test_too_many_occurrences(self):
         spectra = SpectrumPair(
@@ -95,7 +110,7 @@ class TestPlans:
     def test_partition_override(self):
         plan = ReconstructionPlan(partition=((1, 0),))
         cplan = plan_partition(EX_SPECTRA.dirichlet_sq, 2, plan)
-        assert cplan.assignments[0].edges == (1, 0)
+        assert cplan.partition == ((1, 0),)
 
     def test_round_robin_by_load(self):
         spectra = SpectrumPair(
@@ -103,8 +118,7 @@ class TestPlans:
             ((F(1), 1), (F(4), 1)),
         )
         cplan = plan_partition(spectra.dirichlet_sq, 3)
-        assert cplan.assignments[0].edges == (0,)
-        assert cplan.assignments[1].edges == (1,)
+        assert cplan.partition == ((0,), (1,))
 
 
 class TestReconstruct:

@@ -15,7 +15,7 @@ from starstring.inverse_pendant import (
 )
 from starstring.model import Edge, ReconstructionPlan, SpectrumPair
 from starstring.poly import Poly
-from starstring.ratfun import RationalFunction
+from starstring.ratfun import RationalFunction, StieltjesCF, cf_to_ratfun
 from starstring.roots import isolate_real_roots
 from tests.conftest import random_pendant_graph, random_pendant_spectral_data
 
@@ -74,6 +74,29 @@ class TestDecompose:
         dec = decompose_main_from_quotient(phi, F(7, 3))
         assert dec.tail_constant == 0
         assert dec.main.lengths == (F(1), F(4, 3))
+
+    def test_tail_is_the_expansion_remainder_at_every_cut(self, rng):
+        # the tail at cut k with constant t folds (t, a_k+1, ...; b_k+1, ...)
+        seen = set()
+        for _ in range(40):
+            p = rng.randint(0, 5)
+            cf = StieltjesCF(
+                tuple(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(p + 1)),
+                tuple(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(p)),
+            )
+            phi = cf_to_ratfun(cf)
+            prefix = F(0)
+            for cut, a in enumerate(cf.a):
+                prefix += a
+                # an exact cut, then one a third of the level short of its end
+                for t in (F(0), a / 3):
+                    if not 0 < prefix - t < sum(cf.a):
+                        continue
+                    dec = decompose_main_from_quotient(phi, prefix - t)
+                    assert (dec.main_mass_count, dec.tail_constant) == (cut, t)
+                    assert dec.tail == cf_to_ratfun(StieltjesCF((t,) + cf.a[cut + 1:], cf.b[cut:]))
+                    seen.add((t == 0, cut == cf.depth))
+        assert seen == {(True, False), (False, False), (False, True)}
 
     def test_massless_main(self):
         phi, _, _ = build_phi(EX_SPECTRA, EX_MAIN_LENGTH, EX_LENGTHS)
@@ -217,7 +240,8 @@ class TestReconstruct:
         rec = reconstruct_pendant(spectra, F(1, 3), [F(3), F(1)])
         poles = isolate_real_roots(rec.decomposition.tail.num, F(0), None)
         assert [(rv.rat, m) for rv, m in poles] == [(None, 1), (F(20), 1), (None, 1)]
-        assert [(a.value, a.edges) for a in rec.subgraph_plan.assignments] == [(F(20), (0,))]
+        assert rec.subgraph_plan.partition == ((0,),)
+        assert rec.subgraph_plan.residue_split == ((F(20), (F(1),)),)
         phi_n, phi_d = char_polys(rec.graph)
         assert [(rv.rat, m) for rv, m in spectrum_of(phi_d)] == list(spectra.dirichlet_sq)
         assert [(rv.rat, m) for rv, m in spectrum_of(phi_n)] == list(spectra.neumann_sq)
