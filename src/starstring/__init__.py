@@ -56,7 +56,7 @@ from .model import (
     serialize_spectra,
 )
 from .poly import Poly, poly_gcd, squarefree_factor
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .ratfun import (
     PartialFractions,
     RationalFunction,

@@ -165,14 +165,14 @@ def _root_entry(rv, mult, width):
 
 def _spectra_json(neumann, dirichlet, args):
     if args.as_frequencies:
-        digits = args.digits or 12
+        digits = 12 if args.digits is None else args.digits
         out = {"approximate": True, "digits": digits}
         for key, roots in (("neumann_frequencies", neumann), ("dirichlet_frequencies", dirichlet)):
             freqs = [(_decimal(rv, digits, _floor_of_sqrt), m) for rv, m in roots]
             out[key] = ([f"-{r}" for r, m in reversed(freqs) for _ in range(m)]
                         + [r for r, m in freqs for _ in range(m)])
         return out
-    if args.digits:
+    if args.digits is not None:
         return {
             "approximate": True,
             "digits": args.digits,
@@ -202,7 +202,7 @@ def _cmd_forward(args):
     args.refine_width = parse_rational(args.refine_width, "--refine-width")
     if args.refine_width <= 0:
         raise RangeError(f"--refine-width must be > 0, got {args.refine_width}")
-    if not 0 <= args.digits <= MAX_DIGITS:
+    if args.digits is not None and not 0 <= args.digits <= MAX_DIGITS:
         raise RangeError(f"--digits must be in [0, {MAX_DIGITS}], got {args.digits}")
     graph = parse_graph(_read(args.graph, "graph"))
     phi_n, phi_d = fwd.char_polys(graph)
@@ -380,8 +380,8 @@ def _build_parser():
                    help="also write the characteristic polynomials")
     p.add_argument("--as-frequencies", action="store_true",
                    help="emit +-sqrt(z) decimals instead of exact squared values")
-    p.add_argument("--digits", type=int, default=0,
-                   help=f"decimal output with this many places, 0-{MAX_DIGITS} (approximate)")
+    p.add_argument("--digits", type=int,
+                   help=f"decimal places, 0-{MAX_DIGITS} (approximate; 12 with --as-frequencies)")
     p.add_argument("--refine-width", default=DEFAULT_REFINE_WIDTH,
                    help="interval refinement width for irrational roots, > 0")
     common_output(p)

@@ -106,10 +106,6 @@ class StarGraph:
                 raise InvariantViolation("pendant-rooted graph needs a non-main edge")
 
     @property
-    def edge_count(self):
-        return len(self.edges) + (1 if self.main_edge is not None else 0)
-
-    @property
     def point_mass_count(self):
         n = sum(e.mass_count for e in self.edges)
         if self.main_edge is not None:

@@ -172,16 +172,6 @@ class Poly:
             return _canonical(self._scale * c, self._ints)
         return _canonical(self._scale * -c, tuple(-x for x in self._ints))
 
-    def __pow__(self, n):
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __divmod__(self, other):
         """Exact division with remainder: self = q*other + r, deg r < deg other.
 

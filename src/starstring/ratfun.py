@@ -35,9 +35,9 @@ class RationalFunction:
     constant lives in the numerator, so equality is plain coefficient
     comparison.  The zero function is 0/1.
 
-    ``make`` is the only general canonicalizer.  Negation and inversion
-    keep a coprime pair coprime, as does a sum with a polynomial; any other
-    sum is canonicalized by ``make``.
+    ``make`` is the one general canonicalizer (it divides out the gcd);
+    ``from_coprime`` normalizes a pair known to be coprime, and ``inverse``
+    swaps one.  No solver adds two, so the class has no arithmetic.
     """
 
     __slots__ = ("num", "den")
@@ -101,27 +101,6 @@ class RationalFunction:
     def __repr__(self):
         return f"RationalFunction({self.num!r} / {self.den!r})"
 
-    def _sum(self, c, d):
-        """self + c/d for a canonical c/d."""
-        a, b = self.num, self.den
-        # a canonical denominator of degree 0 is 1
-        if b.degree == 0:
-            return RationalFunction.from_coprime(a * d + c, d)
-        if d.degree == 0:
-            return RationalFunction.from_coprime(a + c * b, b)
-        return RationalFunction.make(a * d + c * b, b * d)[0]
-
-    def __add__(self, other):
-        other = _as_rf(other)
-        return self._sum(other.num, other.den)
-
-    def __sub__(self, other):
-        other = _as_rf(other)
-        return self._sum(-other.num, other.den)
-
-    def __neg__(self):
-        return RationalFunction.from_coprime(-self.num, self.den)
-
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("inverse of the zero function")
@@ -132,14 +111,6 @@ class RationalFunction:
         if d == 0:
             raise DivisionByZero(f"pole at {x}")
         return self.num.eval(x) / d
-
-
-def _as_rf(x):
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, Poly):
-        return RationalFunction.from_coprime(x, ONE)
-    return RationalFunction.constant(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +237,6 @@ class PartialFractions:
     terms: tuple  # ((pole, residue), ...) sorted by pole
     constant: Fraction
 
-    def reassemble(self):
-        # n/d is coprime, so is n + d*(B - A0*z) over d
-        n, d = _pole_sum(self.terms)
-        return RationalFunction.from_coprime(n + d * Poly([self.constant, -self.linear_coeff]), d)
-
-    def to_json(self):
-        return {
-            "linear_coeff": format_rational(self.linear_coeff),
-            "terms": [
-                {"pole": format_rational(p), "residue": format_rational(r)}
-                for p, r in self.terms
-            ],
-            "constant": format_rational(self.constant),
-        }
-
 
 def _polynomial_part(f):
     """Split f into (A0, B, proper) with f = -A0*z + B + proper."""
@@ -322,8 +278,8 @@ def _residues(proper, poles):
 def partial_fractions(f):
     """Split f into partial fractions over its unknown poles.
 
-    Returns (pf, cluster) with f = pf.reassemble() + cluster: pf holds
-    -A0*z + B and a positive residue term at each rational pole, and the
+    Returns (pf, cluster) with f = -A0*z + B + sum r/(z - v) + cluster:
+    pf holds A0, B and a positive residue r at each rational pole v, and the
     proper cluster S/C keeps the irrational poles together, 0/1 when there
     are none.  Every pole must be real, positive and simple (NotStieltjes
     otherwise): the denominator is isolated on (0, oo) with classification.

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import SchemaError
 
-Rational = Fraction
-
 # Largest |exponent| accepted in a decimal such as "1.5e-3".  Fraction builds
 # 10**exponent exactly, so "1e999999999" would take a billion digits.
 MAX_DECIMAL_EXPONENT = 1000

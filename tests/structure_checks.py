@@ -3,8 +3,9 @@
 The paper's structural identities (ladder identities, the quotient and
 branching folds, common-zero multiplicities and monotonicity in the central
 mass) live here rather than in the package: no command calls them, and
-``branching_quotient`` stays on its own ``RationalFunction`` arithmetic as
-the independent check on ``forward.pendant_quotient``.
+``branching_quotient`` folds with its own sums (``rf_sum``, canonicalized by
+the general gcd in ``RationalFunction.make``) as the independent check on
+``forward.pendant_quotient``.
 """
 
 from dataclasses import dataclass, replace
@@ -31,6 +32,11 @@ def unclassified_spectrum(p):
     if p.degree <= 0:
         return []
     return isolate_real_roots(p, Fraction(0), None, classify_rational=False)
+
+
+def rf_sum(a, b):
+    """a + b, reduced by the general gcd canonicalizer."""
+    return RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den)
 
 
 def edge_quotient(edge):
@@ -80,7 +86,7 @@ def center_quotient_identity(graph):
     quotient, _ = center_quotient(graph)
     acc = RationalFunction(Poly([0, -graph.central_mass]), ONE)
     for e in graph.edges:
-        acc = acc + edge_quotient(e).inverse()
+        acc = rf_sum(acc, edge_quotient(e).inverse())
     return quotient == acc.inverse()
 
 
@@ -108,13 +114,13 @@ def branching_quotient(graph):
         raise InvariantViolation("branching_quotient needs a pendant-rooted graph")
     cur = RationalFunction(Poly([0, -graph.central_mass]), ONE)
     for e in graph.edges:
-        cur = cur + edge_quotient(e).inverse()
+        cur = rf_sum(cur, edge_quotient(e).inverse())
     main = graph.main_edge
     n = main.mass_count
     for k in range(n, 0, -1):
-        cur = RationalFunction.constant(main.lengths[k]) + cur.inverse()
-        cur = RationalFunction(Poly([0, -main.masses[k - 1]]), ONE) + cur.inverse()
-    return RationalFunction.constant(main.lengths[0]) + cur.inverse()
+        cur = rf_sum(RationalFunction.constant(main.lengths[k]), cur.inverse())
+        cur = rf_sum(RationalFunction(Poly([0, -main.masses[k - 1]]), ONE), cur.inverse())
+    return rf_sum(RationalFunction.constant(main.lengths[0]), cur.inverse())
 
 
 def multiplicity_of_factor(p, h):
@@ -240,7 +246,7 @@ def check_pendant_interlacing(graph):
     lam_roots = unclassified_spectrum(phi_d)
     mu = occurrences(mu_roots)
     lam = occurrences(lam_roots)
-    q = graph.edge_count
+    q = len(graph.edges) + 1
     n = len(lam)
     assert len(mu) == n, "equal counts"
     if n:
@@ -262,7 +268,7 @@ def check_pendant_interlacing(graph):
 def check_common_zero_accounting(graph):
     """At common zeros: subgraph Neumann multiplicity min{k0,kinf},
     subgraph Dirichlet multiplicity min{k0,kinf}+1, and k0+kinf <= 2q-3."""
-    q = graph.edge_count
+    q = len(graph.edges) + 1
     records = common_zero_accounting(graph)
     for rec in records:
         low = min(rec["k0"], rec["k_inf"])

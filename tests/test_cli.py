@@ -265,6 +265,34 @@ def test_frequency_output(tmp_path):
     assert got["neumann_frequencies"] == ["-1.4142", "1.4142"]
 
 
+@pytest.mark.parametrize("frequencies", [False, True])
+def test_digits_zero_prints_the_floor(tmp_path, frequencies):
+    # eigenvalues 1.618.., 5.492.. and 2, 8: an explicit --digits 0 prints
+    # each floor with no decimal point; omitted, the output stays exact, or
+    # 12 places with --as-frequencies
+    graph = write(tmp_path / "g.json", {
+        "root": "center", "central_mass": "0",
+        "edges": [{"lengths": ["1/2", "1/2"], "masses": ["1/2"]},
+                  {"lengths": ["1", "1/2"], "masses": ["3/2"]}],
+    })
+    out = tmp_path / "s.json"
+    extra = ["--as-frequencies"] if frequencies else []
+    assert main(["forward", "--graph", graph, "--out", str(out), "--digits", "0", *extra]) == 0
+    got = json.loads(out.read_text())
+    assert (got["approximate"], got["digits"]) == (True, 0)
+    if frequencies:
+        assert got["neumann_frequencies"] == got["dirichlet_frequencies"] == ["-2", "-1", "1", "2"]
+    else:
+        assert [e["value"] for e in got["neumann_squared"]] == ["1", "5"]
+        assert [e["value"] for e in got["dirichlet_squared"]] == ["2", "8"]
+    assert main(["forward", "--graph", graph, "--out", str(out), *extra]) == 0
+    got = json.loads(out.read_text())
+    if frequencies:
+        assert got["digits"] == 12 and got["dirichlet_frequencies"][-1] == "2.828427124746"
+    else:
+        assert "approximate" not in got and got["dirichlet_squared"][1]["value"] == "8"
+
+
 @pytest.mark.parametrize("frequencies", [[], ["--as-frequencies"]])
 def test_digits_at_the_bound_print_a_large_value(tmp_path, frequencies):
     # eigenvalues near 2e700, frequencies near 1.4e350: with 4,000 places

@@ -1,5 +1,6 @@
 """Stiffness/mass pencil: structure, determinants, interlacing."""
 
+import math
 from fractions import Fraction as F
 from math import lcm as _ilcm
 
@@ -207,12 +208,12 @@ def _planted_pair(rng):
     if kind == "tie":
         for _ in range(rng.randint(1, 2)):
             r = rng.choice(grid + [grid[-1] + 1, grid[0] - F(1, 3)])
-            common = common * Poly([-r, 1]) ** rng.randint(1, 3)
+            common = common * Poly.from_linear_roots([r] * rng.randint(1, 3))
     elif kind == "complex":
         c, b = rng.randint(1, 9), rng.randint(-3, 3)
         common = Poly([c, b, 1]) if b * b < 4 * c else Poly([1, 0, 1])  # no real root
     elif kind == "irrational":
-        common = Poly([-2, 0, 1]) ** rng.randint(1, 2)
+        common = math.prod([Poly([-2, 0, 1])] * rng.randint(1, 2), start=ONE)
     elif kind == "outside" and mu:
         k = rng.randrange(len(mu))
         eps = F(1, 10 ** rng.randint(3, 9))

@@ -69,7 +69,7 @@ def test_gcd_with_zero():
 
 
 def test_squarefree_simple():
-    p = P(1, F(-1, 2)) ** 2 * P(1, -1)
+    p = math.prod([P(1, F(-1, 2))] * 2, start=ONE) * P(1, -1)
     factors = squarefree_factor(p)
     assert sorted((f.degree, m) for f, m in factors) == [(1, 1), (1, 2)]
     by_mult = {m: f for f, m in factors}
@@ -88,10 +88,10 @@ def test_squarefree_reassembles():
         mults = [rng.randint(1, 3) for _ in roots]
         p = ONE
         for r, m in zip(roots, mults):
-            p = p * Poly([-r, 1]) ** m
+            p = p * Poly.from_linear_roots([r] * m)
         total = ONE
         for f, m in squarefree_factor(p):
-            total = total * f ** m
+            total = total * math.prod([f] * m, start=ONE)
         assert total == p.monic()
         distinct = sorted(set(roots))
         part = ONE
@@ -191,7 +191,8 @@ def test_gcd_and_squarefree_against_sympy():
         p = P(rng.choice((-1, 1)) * rng.randint(1, 1 << 64))
         for mult in range(1, 4):
             for _ in range(rng.randint(0, 2)):
-                p = p * _random_poly(rng, rng.randint(1, 3), rng.randint(64, 128)) ** mult
+                factor = _random_poly(rng, rng.randint(1, 3), rng.randint(64, 128))
+                p = p * math.prod([factor] * mult, start=ONE)
         _, expect = sympy.sqf_list(_to_sympy(sympy, x, p))
         expect = sorted((m, _from_sympy(f.monic()).coeffs) for f, m in expect)
         got = sorted((m, f.coeffs) for f, m in squarefree_factor(p))

@@ -26,7 +26,7 @@ def test_single_rational_root():
 
 
 def test_multiplicities():
-    p = P(-1, 1) * P(-2, 1) ** 2
+    p = P(-1, 1) * Poly.from_linear_roots([2] * 2)
     roots = isolate_real_roots(p)
     assert [(rv.rat, m) for rv, m in roots] == [(F(1), 1), (F(2), 2)]
 
@@ -58,7 +58,7 @@ def test_domain_restriction():
     # both endpoints are roots of one square-free factor
     (P(-1, 1) * P(-3, 1), F(1), F(3), []),
     # a double root at lo, a simple one at hi, sqrt(2) between them
-    (P(-1, 1) ** 2 * P(-3, 1) * P(-2, 0, 1), F(1), F(3), [(None, 1)]),
+    (Poly.from_linear_roots([1] * 2) * P(-3, 1) * P(-2, 0, 1), F(1), F(3), [(None, 1)]),
 ])
 def test_roots_on_the_endpoints_are_excluded(p, lo, hi, expect, classify):
     roots = isolate_real_roots(p, lo, hi, classify)
@@ -80,7 +80,7 @@ def test_random_rational_products(rng):
         mults = [rng.randint(1, 3) for _ in values]
         p = ONE
         for r, m in zip(values, mults):
-            p = p * Poly([-r, 1]) ** m
+            p = p * Poly.from_linear_roots([r] * m)
         got = isolate_real_roots(p, F(0), None)
         assert [(rv.rat, m) for rv, m in got] == list(zip(values, mults))
 

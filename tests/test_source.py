@@ -121,9 +121,35 @@ def test_every_error_class_is_raised_elsewhere():
     assert defined and sorted(defined - raised) == []
 
 
+def _loaded_names(tree, stems):
+    """Names ``tree`` reads: loaded plain names, and attributes read off a
+    starstring module (``starstring``, ``starstring.cli`` or a module bound
+    by import, such as ``from . import forward as fwd``)."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or "starstring" for alias in node.names
+                        if alias.name.split(".")[0] == "starstring"}
+        elif isinstance(node, ast.ImportFrom) and (node.module == "starstring" or node.level and not node.module):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name in stems}
+
+    def is_module(expr):
+        if isinstance(expr, ast.Attribute):
+            return expr.attr in stems and is_module(expr.value)
+        return isinstance(expr, ast.Name) and expr.id in modules
+
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(getattr(node, "ctx", None), ast.Load)
+        and (isinstance(node, ast.Name) or isinstance(node, ast.Attribute) and is_module(node.value))
+    }
+
+
 def test_every_export_is_used():
     """A name the package's ``__init__`` exports is dead surface unless
-    another package module or a test uses it."""
+    another package module or a test reads it; assigning the name, or
+    reading an attribute of that name off another package, is no use."""
     package = Path(starstring.__file__).parent
     init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
     exported = {
@@ -131,10 +157,10 @@ def test_every_export_is_used():
         for node in init.body if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    stems = {p.stem for p in package.glob("*.py")}
     paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     paths += Path(__file__).parent.glob("*.py")
     used = set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            used.add(getattr(node, "id", None) or getattr(node, "attr", None))
+        used |= _loaded_names(ast.parse(path.read_text(encoding="utf-8"), str(path)), stems)
     assert exported and sorted(exported - used) == []
