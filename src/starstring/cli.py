@@ -101,7 +101,7 @@ def _read(path, what):
 def _parse_length(text, flag):
     value = parse_rational(text, flag)
     if value <= 0:
-        raise RangeError(f"{flag} must be > 0, got {value}")
+        raise RangeError(f"{flag} must be > 0, got {format_rational(value)}")
     return value
 
 
@@ -123,11 +123,11 @@ def _parse_lengths(text):
 
 
 def _fixed(n, digits):
-    """n / 10**digits as a decimal string; its whole and fractional parts
-    convert apart, each under CPython's int-to-str digit limit."""
+    """n / 10**digits as a decimal string; the fraction part, of at most
+    MAX_DIGITS digits, is within CPython's int-to-str digit limit."""
     sign = "-" if n < 0 else ""
     whole, frac = divmod(abs(n), 10 ** digits)
-    return f"{sign}{whole}.{frac:0{digits}}" if digits else f"{sign}{whole}"
+    return sign + format_rational(whole) + (f".{frac:0{digits}}" if digits else "")
 
 
 def _floor_of(value, digits):

@@ -60,7 +60,8 @@ class ValidationReport:
 def _cap_issues(spectra, neumann_cap, dirichlet_cap):
     """A multiplicity issue for each value above its spectrum's cap."""
     return [
-        Issue("multiplicity", f"{label} value {v} has multiplicity {mult} > {cap}")
+        Issue("multiplicity",
+              f"{label} value {format_rational(v)} has multiplicity {mult} > {cap}")
         for label, entries, cap in (
             ("neumann", spectra.neumann_sq, neumann_cap),
             ("dirichlet", spectra.dirichlet_sq, dirichlet_cap),
@@ -75,15 +76,14 @@ def _chain_issues(lower, upper, lo_name, up_name):
     upper_k <= lower_k+1 <= upper_k+1 over the n = len(upper) values."""
     issues = []
     if not lower[0] < upper[0]:
-        issues.append(Issue(
-            "chain", f"need {lo_name}_1 < {up_name}_1, got {lower[0]} >= {upper[0]}"
-        ))
+        issues.append(Issue("chain", f"need {lo_name}_1 < {up_name}_1, got "
+                                     f"{format_rational(lower[0])} >= {format_rational(upper[0])}"))
     for k in range(1, len(upper)):
         if not upper[k - 1] <= lower[k] <= upper[k]:
             issues.append(Issue(
                 "chain",
                 f"need {up_name}_{k} <= {lo_name}_{k + 1} <= {up_name}_{k + 1} "
-                f"({upper[k - 1]}, {lower[k]}, {upper[k]})",
+                f"({', '.join(format_rational(x) for x in (upper[k - 1], lower[k], upper[k]))})",
             ))
     return issues
 
@@ -118,15 +118,17 @@ def validate_center(spectra, q):
         zet = spectra.dirichlet_values()
         issues += _chain_issues(lam, zet, "lambda", "zeta")
         if m_positive and not zet[n - 1] < lam[n]:
-            issues.append(Issue("chain", f"need zeta_n < lambda_n+1, got {zet[n - 1]} >= {lam[n]}"))
+            issues.append(Issue("chain", "need zeta_n < lambda_n+1, got "
+                                f"{format_rational(zet[n - 1])} >= {format_rational(lam[n])}"))
         for k in range(1, n):
             left = zet[k - 1] == lam[k]
             right = lam[k] == zet[k]
             if left != right:
                 issues.append(Issue(
                     "tie",
-                    f"tie condition fails at k={k + 1}: "
-                    f"zeta_{k}={zet[k - 1]}, lambda_{k + 1}={lam[k]}, zeta_{k + 1}={zet[k]}",
+                    f"tie condition fails at k={k + 1}: zeta_{k}={format_rational(zet[k - 1])}, "
+                    f"lambda_{k + 1}={format_rational(lam[k])}, "
+                    f"zeta_{k + 1}={format_rational(zet[k])}",
                 ))
     if m_positive is not None and n == 0 and lam_count > 1:
         issues.append(Issue("count", "empty Dirichlet spectrum admits at most one Neumann value"))
@@ -199,20 +201,21 @@ def plan_partition(distinct, q, plan=None):
         known = {v for v, _ in distinct}
         for v, _ in plan.residue_split:
             if v not in known:
-                raise PlanInfeasible(f"residue split names an absent pole {v}")
+                raise PlanInfeasible(f"residue split names an absent pole {format_rational(v)}")
     load = [0] * q
     partition, split = [], []
     for idx, (value, mult) in enumerate(distinct):
+        name = format_rational(value)  # for the messages
         if mult > q:
-            raise PlanInfeasible(f"cannot place {mult} occurrences of {value} on {q} edges")
+            raise PlanInfeasible(f"cannot place {mult} occurrences of {name} on {q} edges")
         if user_partition is not None:
             edges = tuple(user_partition[idx])
             if len(edges) != mult:
                 raise PlanInfeasible(
-                    f"value {value} needs {mult} edges, partition gives {len(edges)}"
+                    f"value {name} needs {mult} edges, partition gives {len(edges)}"
                 )
             if len(set(edges)) != mult or any(not 0 <= e < q for e in edges):
-                raise PlanInfeasible(f"partition for value {value} must use distinct valid edges")
+                raise PlanInfeasible(f"partition for value {name} must use distinct valid edges")
         else:
             order = sorted(range(q), key=lambda j: (load[j], j))
             edges = tuple(order[:mult])
@@ -222,9 +225,9 @@ def plan_partition(distinct, q, plan=None):
         else:
             shares = tuple(Fraction(s) for s in shares)
             if len(shares) != mult:
-                raise PlanInfeasible(f"value {value} needs {mult} residue shares")
+                raise PlanInfeasible(f"value {name} needs {mult} residue shares")
             if any(s <= 0 for s in shares) or sum(shares) != 1:
-                raise PlanInfeasible(f"residue shares for {value} must be positive and sum to 1")
+                raise PlanInfeasible(f"residue shares for {name} must be positive and sum to 1")
         for e in edges:
             load[e] += 1
         partition.append(edges)

@@ -39,6 +39,7 @@ from .ratfun import (
     _cf_peel,
     _polynomial_part,
 )
+from .rational import format_rational
 from .roots import isolate_real_roots
 
 
@@ -78,9 +79,8 @@ def decompose_main_from_quotient(phi, main_length, common_zeros=()):
     total = sum(cf.a, Fraction(0))
     main_length = Fraction(main_length)
     if main_length >= total:
-        raise MainTooLong(
-            f"main length {main_length} >= quotient value {total} at zero"
-        )
+        raise MainTooLong(f"main length {format_rational(main_length)} >= "
+                          f"quotient value {format_rational(total)} at zero")
     prefix = Fraction(0)
     cut = 0
     for k, a in enumerate(cf.a):
@@ -125,10 +125,8 @@ def validate_pendant(spectra, main_length, lengths):
     for v, mult in spectra.dirichlet_sq:
         shared = mu_mult.get(v, 0)
         if shared and shared + mult > 2 * q - 3:
-            caps.append(Issue(
-                "multiplicity",
-                f"shared value {v}: multiplicity sum {shared + mult} exceeds {2 * q - 3}",
-            ))
+            caps.append(Issue("multiplicity", f"shared value {format_rational(v)}: multiplicity "
+                                              f"sum {shared + mult} exceeds {2 * q - 3}"))
     mu_count = sum(m for _, m in spectra.neumann_sq)
     n = sum(m for _, m in spectra.dirichlet_sq)
     if mu_count != n:
@@ -148,12 +146,10 @@ def validate_pendant(spectra, main_length, lengths):
             for v, _ in dec.common_zeros:
                 den_v = dec.tail.den.eval(v)
                 if den_v == 0 or dec.tail.num.eval(v) != 0:
-                    value = "pole" if den_v == 0 else dec.tail.num.eval(v) / den_v
-                    issues.append(Issue(
-                        "tail",
-                        f"tail does not vanish at the shared value {v}: "
-                        f"tail({v}) = {value}",
-                    ))
+                    value = "pole" if den_v == 0 else format_rational(dec.tail.num.eval(v) / den_v)
+                    v = format_rational(v)
+                    issues.append(Issue("tail", f"tail does not vanish at the shared value {v}: "
+                                                f"tail({v}) = {value}"))
     return ValidationReport(not issues, tuple(issues), None)
 
 

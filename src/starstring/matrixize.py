@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, RequiresPositiveCentralMass
 from .model import Root
-from .poly import ONE, Poly, _sturm_sequence
+from .poly import ONE, Poly
 from .rational import format_rational
 from .roots import isolate_real_roots
 
@@ -145,53 +145,30 @@ class InterlacingCertificate:
 
 def interlacing_certificate(L, mass_diag):
     """Certify lam_1 <= mu_1 <= lam_2 <= ... for the pencil and its first
-    principal submatrix pencil by one signed remainder sequence of their
-    determinants, which one elimination gives.  Only where that does not
-    certify are both isolated and their roots compared, for the counts and
-    mu_k/lambda_k failure messages."""
-    return _certify(*pencil_det(L, mass_diag))
+    principal submatrix pencil, from their determinants (one elimination).
 
-
-def _sequence_certifies(full, sub):
-    """Whether the signed remainder sequence of (full, sub) proves them interlaced.
-
-    The sequence is ``poly._sturm_sequence``: f_0 = full, f_1 = sub, each
-    with a positive leading coefficient (an n x n pencil has lc(full) =
-    (-1)**n * prod(m) and lc(sub) = -(-1)**n * prod(m[1:]), of opposite
-    signs, and the sign does not move a root), then f_{k+1} = -rem(f_{k-1},
-    f_k) times a positive number, ending in g = gcd(full, sub).  Its members
-    are g times those of F = full/g, S = sub/g.  If each degree drops by
-    one, n down to d = deg g, and each leading coefficient is positive, the
-    signs vary n - d times at -oo and never at +oo.  By Sturm's theorem S/F
-    then has Cauchy index deg F, its most: F has deg F simple real roots and
-    S/F a positive residue at each, so S changes sign between them and F, S
-    interlace strictly.  The converse holds as well (Gantmacher-Krein;
-    Holtz-Tyaglov, SIAM Rev. 54(3), 2012), and the multisets interlace
-    weakly iff g is real-rooted and F, S interlace strictly (Fisk,
-    arXiv:math/0612833).
+    For a symmetric L and a positive mass diagonal, as ``build_pencil``
+    always gives, this is Cauchy's interlacing theorem (Horn and Johnson,
+    "Matrix Analysis", 2nd ed., section 4.3): the pencil's eigenvalues are
+    those of A = M^-1/2 L M^-1/2, and, M being diagonal, the subpencil's
+    are those of A without row and column 0.  Both are real, n and n - 1
+    of them with multiplicity, so only the determinants' degrees are
+    checked, and a wrong one raises InvariantViolation.  Any other pencil
+    has both determinants isolated and their roots compared, for the
+    counts and the mu_k/lambda_k failure messages.
     """
-    if full.degree < 1 or sub.degree != full.degree - 1:
-        return False
-    seq = _sturm_sequence(full.primitive_int(), sub.primitive_int())
-    if any(len(b) != len(a) - 1 or b[-1] < 0 for a, b in zip(seq, seq[1:])):
-        return False
-    g = seq[-1]
-    roots = isolate_real_roots(Poly(g), None, None, classify_rational=False) if len(g) > 1 else ()
-    return sum(m for _, m in roots) == len(g) - 1
-
-
-def _certify(full, sub):
-    """The interlacing certificate of the two determinants."""
-    if _sequence_certifies(full, sub):
-        return InterlacingCertificate(True, full.degree, sub.degree, ())
-    full_roots = [
-        rv for rv, m in isolate_real_roots(full, None, None, classify_rational=False)
-        for _ in range(m)
-    ]
-    sub_roots = [
-        rv for rv, m in isolate_real_roots(sub, None, None, classify_rational=False)
-        for _ in range(m)
-    ]
+    full, sub = pencil_det(L, mass_diag)
+    n = L.dim
+    if L.entries == tuple(zip(*L.entries)) and all(m > 0 for m in mass_diag):
+        if (full.degree, sub.degree) != (n, n - 1):
+            raise InvariantViolation(f"pencil determinants have degrees {full.degree} and "
+                                     f"{sub.degree}, expected {n} and {n - 1}")
+        return InterlacingCertificate(True, n, n - 1, ())
+    full_roots, sub_roots = (
+        [rv for rv, m in isolate_real_roots(p, None, None, classify_rational=False)
+         for _ in range(m)]
+        for p in (full, sub)
+    )
     failures = []
     if len(full_roots) != full.degree:
         failures.append("full pencil determinant has non-real roots")

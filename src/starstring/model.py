@@ -311,6 +311,8 @@ def _load(data, context):
         raise SchemaError(f"{context}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{context}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # CPython's int/str digit limit, reading a JSON integer
+        raise SchemaError(f"{context}: JSON integer too long to read") from exc
     except RecursionError as exc:
         raise SchemaError(f"{context}: JSON nested too deeply") from exc
 

@@ -25,8 +25,7 @@ choice.
 Gcds run on the integer vectors (``Poly.primitive_int``) through
 ``_sturm_sequence``, the primitive signed pseudo-remainder sequence
 (Collins 1967, Brown 1971) and the one remainder loop: its last member is
-the gcd (on (f, f') the Sturm chain, for ``squarefree_factor``), and on two
-pencil determinants it is ``matrixize``'s interlacing certificate.
+the gcd (on (f, f') the Sturm chain, for ``squarefree_factor``).
 """
 
 from __future__ import annotations

@@ -3,20 +3,35 @@
 The canonical scalar everywhere is :class:`fractions.Fraction`.  Text input
 accepts "p/q", plain integers, and decimal strings; decimals are read as
 exact decimal fractions ("0.5" -> 1/2), with exponents bounded by
-MAX_DECIMAL_EXPONENT.  Output is always "p/q" or "p".
+MAX_DECIMAL_EXPONENT.  Output is always "p/q" or "p".  Integers past 600
+digits convert through :class:`decimal.Decimal`: CPython limits int/str
+conversion to 4,300 digits by default (never to fewer than 640), and the
+interpreter's setting stays as it is.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import SchemaError
 
-# Largest |exponent| accepted in a decimal such as "1.5e-3".  Fraction builds
-# 10**exponent exactly, so "1e999999999" would take a billion digits.
+# Largest |exponent| accepted in a decimal such as "1.5e-3".  The value is
+# built exactly, so "1e999999999" would take a billion digits.
 MAX_DECIMAL_EXPONENT = 1000
-_EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*\Z", re.IGNORECASE)
+# Fraction's string grammar, whose digit runs are converted apart
+_RATIONAL = re.compile(
+    r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)(?:/(?P<den>\d+(_\d+)*)|"
+    r"(?:\.(?P<dec>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*\Z", re.IGNORECASE)
+
+
+def _int(digits):
+    return int(digits) if len(digits) < 600 else int(Decimal(digits))
+
+
+def _digits(n):
+    return str(n) if n.bit_length() < 1990 else format(Decimal(n), "f")
 
 
 def parse_rational(text, context="value"):
@@ -27,17 +42,21 @@ def parse_rational(text, context="value"):
         return Fraction(text)
     if not isinstance(text, str):
         raise SchemaError(f"{context}: expected rational string, got {type(text).__name__}")
-    try:
-        exp = _EXPONENT.search(text)
-        if exp and abs(int(exp.group(1))) > MAX_DECIMAL_EXPONENT:
-            raise SchemaError(
-                f"{context}: decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}"
-            )
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{context}: not a rational number: {text!r}") from exc
+    m = _RATIONAL.match(text)
+    if m is None or m["den"] and not _int(m["den"]):
+        raise SchemaError(f"{context}: not a rational number: {text!r}")
+    exp = _int(m["exp"] or "0")
+    if abs(exp) > MAX_DECIMAL_EXPONENT:
+        raise SchemaError(f"{context}: decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}")
+    dec = (m["dec"] or "").replace("_", "")
+    exp -= len(dec)
+    num = _int((m["num"] or "0") + dec) * 10 ** max(exp, 0)
+    value = Fraction(num, _int(m["den"] or "1") * 10 ** max(-exp, 0))
+    return -value if m["sign"] == "-" else value
 
 
 def format_rational(value):
     """Canonical string form: "p/q", or "p" for integers."""
-    return str(Fraction(value))
+    value = Fraction(value)
+    num = _digits(value.numerator)
+    return num if value.denominator == 1 else f"{num}/{_digits(value.denominator)}"

@@ -5,7 +5,9 @@ branching folds, common-zero multiplicities and monotonicity in the central
 mass) live here rather than in the package: no command calls them, and
 ``branching_quotient`` folds with its own sums (``rf_sum``, canonicalized by
 the general gcd in ``RationalFunction.make``) as the independent check on
-``forward.pendant_quotient``.
+``forward.pendant_quotient``.  ``sequence_certifies`` proves two
+determinants interlaced by one signed remainder sequence, the independent
+check on the isolate-and-compare path of ``matrixize.interlacing_certificate``.
 """
 
 from dataclasses import dataclass, replace
@@ -20,7 +22,7 @@ from starstring.forward import (
     pendant_quotient,
 )
 from starstring.model import Root
-from starstring.poly import ONE, ZERO, Poly, poly_gcd, squarefree_factor
+from starstring.poly import ONE, ZERO, Poly, _sturm_sequence, poly_gcd, squarefree_factor
 from starstring.ratfun import RationalFunction, _ladder
 from starstring.roots import isolate_real_roots
 from tests.conftest import occurrences
@@ -199,6 +201,32 @@ def neumann_monotonicity(graph, mass_values):
             if heavier[k].compare(lighter[k]) > 0:
                 failures.append((masses[i], masses[i + 1], k))
     return MonotonicityReport(not failures, comparisons, 0, tuple(failures))
+
+
+def sequence_certifies(full, sub):
+    """Whether the signed remainder sequence of (full, sub) proves them interlaced.
+
+    The sequence is ``poly._sturm_sequence``: f_0 = full, f_1 = sub, each
+    with a positive leading coefficient (the sign does not move a root),
+    then f_{k+1} = -rem(f_{k-1}, f_k) times a positive number, ending in
+    g = gcd(full, sub).  Its members are g times those of F = full/g,
+    S = sub/g.  If each degree drops by one, n down to d = deg g, and each
+    leading coefficient is positive, the signs vary n - d times at -oo and
+    never at +oo.  By Sturm's theorem S/F then has Cauchy index deg F, its
+    most: F has deg F simple real roots and S/F a positive residue at each,
+    so S changes sign between them and F, S interlace strictly.  The
+    converse holds as well (Gantmacher-Krein; Holtz-Tyaglov, SIAM Rev.
+    54(3), 2012), and the multisets interlace weakly iff g is real-rooted
+    and F, S interlace strictly (Fisk, arXiv:math/0612833).
+    """
+    if full.degree < 1 or sub.degree != full.degree - 1:
+        return False
+    seq = _sturm_sequence(full.primitive_int(), sub.primitive_int())
+    if any(len(b) != len(a) - 1 or b[-1] < 0 for a, b in zip(seq, seq[1:])):
+        return False
+    g = seq[-1]
+    roots = isolate_real_roots(Poly(g), None, None, classify_rational=False) if len(g) > 1 else ()
+    return sum(m for _, m in roots) == len(g) - 1
 
 
 # ---------------------------------------------------------------------------

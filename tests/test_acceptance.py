@@ -38,6 +38,7 @@ from tests.structure_checks import (
     lagrange_check,
     neumann_monotonicity,
     pendant_subgraph_identities,
+    sequence_certifies,
     total_length_identity,
 )
 
@@ -207,7 +208,9 @@ def test_criterion_7_matrix_bridge(acceptance_report):
         full, sub = pencil_det(L, diag)
         assert full.monic() == phi_n.monic()
         assert sub.monic() == phi_d.monic()
+        # Cauchy's theorem certifies the pencil; the remainder sequence checks it
         assert interlacing_certificate(L, diag).ok
+        assert sequence_certifies(full, sub)
     acceptance_report(_line(7, "pencil determinants proportional to the char polys; interlacing certified", started))
 
 

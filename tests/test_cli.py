@@ -293,6 +293,21 @@ def test_digits_zero_prints_the_floor(tmp_path, frequencies):
         assert "approximate" not in got and got["dirichlet_squared"][1]["value"] == "8"
 
 
+def test_negative_frequency_is_the_negated_floor(tmp_path):
+    # frequencies +-0.63.., +-1.17.. and +-0.70.., +-1.41..: the negative
+    # branch negates the positive floor, so a root in (-1, 0) prints "-0"
+    graph = write(tmp_path / "g.json", {
+        "root": "center", "central_mass": "0",
+        "edges": [{"lengths": ["1", "1"], "masses": ["1"]},
+                  {"lengths": ["2", "1"], "masses": ["3"]}],
+    })
+    out = tmp_path / "f.json"
+    assert main(["forward", "--graph", graph, "--out", str(out),
+                 "--as-frequencies", "--digits", "0"]) == 0
+    got = json.loads(out.read_text())
+    assert got["neumann_frequencies"] == got["dirichlet_frequencies"] == ["-1", "-0", "0", "1"]
+
+
 @pytest.mark.parametrize("frequencies", [[], ["--as-frequencies"]])
 def test_digits_at_the_bound_print_a_large_value(tmp_path, frequencies):
     # eigenvalues near 2e700, frequencies near 1.4e350: with 4,000 places
@@ -338,6 +353,54 @@ def test_decimal_output_is_the_exact_truncation(tmp_path, frequencies):
         else:
             assert [e["value"] for e in got[f"{key}_squared"]] == places
             assert [e["mult"] for e in got[f"{key}_squared"]] == [1] * len(places)
+
+
+BIG = 10 ** 1000
+# a value just above 3 and one just above 2, each with 1,001 digits
+NEAR_3, NEAR_2 = f"{3 * BIG + 1}/{BIG}", f"{2 * BIG + 15}/{BIG + 7}"
+
+
+@pytest.mark.parametrize("spectra, argv", [
+    ({"neumann_squared": [{"value": "1", "mult": 1}, {"value": NEAR_3, "mult": 1}],
+      "dirichlet_squared": [{"value": NEAR_2, "mult": 1}]},
+     ["inverse-center", "--lengths", "1,1"]),
+    ({"neumann_squared": [{"value": "1", "mult": 1}, {"value": NEAR_3, "mult": 1}],
+      "dirichlet_squared": [{"value": NEAR_2, "mult": 1}, {"value": "4", "mult": 1}]},
+     ["inverse-pendant", "--main-length", "1/10", "--lengths", "1,1"]),
+])
+def test_an_answer_past_4300_digits_is_written_and_read_back(tmp_path, spectra, argv):
+    # the rebuilt graph's rationals run to 6,000-8,000 digits, past CPython's
+    # default int/str limit; forward reads them and gives back the spectra
+    out = tmp_path / "g.json"
+    assert main([*argv, "--spectra", write(tmp_path / "s.json", spectra), "--out", str(out)]) == 0
+    graph = json.loads(out.read_text())
+    texts = [x for e in graph["edges"] + [graph.get("main_edge", {"lengths": [], "masses": []})]
+             for x in e["lengths"] + e["masses"]]
+    assert max(len(t) for t in texts) > 4300
+    back = tmp_path / "f.json"
+    assert main(["forward", "--graph", str(out), "--out", str(back)]) == 0
+    assert json.loads(back.read_text()) == spectra
+
+
+def test_long_values_print_in_validation_messages(tmp_path):
+    # a 5,001-digit eigenvalue breaking the chain is named in its issue
+    huge = "1" + "0" * 5000
+    spectra = write(tmp_path / "s.json", {
+        "neumann_squared": [{"value": huge, "mult": 1}, {"value": huge + "1", "mult": 1}],
+        "dirichlet_squared": [{"value": "2", "mult": 1}],
+    })
+    out = tmp_path / "r.json"
+    assert main(["validate", "--spectra", spectra, "--lengths", "1,1", "--out", str(out)]) == 2
+    issues = json.loads(out.read_text())["issues"]
+    assert any(huge in i["message"] for i in issues)
+
+
+def test_a_json_integer_past_the_digit_limit_is_a_schema_error(tmp_path, capsys):
+    spectra = tmp_path / "s.json"
+    spectra.write_text('{"neumann_squared": [{"value": "1", "mult": 1%s}], '
+                       '"dirichlet_squared": []}' % ("0" * 5000))
+    assert main(["validate", "--spectra", str(spectra), "--lengths", "1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "E_SCHEMA"
 
 
 @pytest.mark.parametrize("flag", [

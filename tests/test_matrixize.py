@@ -1,5 +1,6 @@
 """Stiffness/mass pencil: structure, determinants, interlacing."""
 
+import json
 import math
 from fractions import Fraction as F
 from math import lcm as _ilcm
@@ -7,12 +8,12 @@ from math import lcm as _ilcm
 import pytest
 
 from starstring import matrixize
+from starstring.cli import main
 from starstring.errors import InvariantViolation, RequiresPositiveCentralMass
 from starstring.forward import char_polys
 from starstring.matrixize import (
+    InterlacingCertificate,
     RationalMatrix,
-    _certify,
-    _sequence_certifies,
     build_pencil,
     interlacing_certificate,
     pencil_det,
@@ -20,13 +21,13 @@ from starstring.matrixize import (
 )
 from starstring.model import Edge, Root, StarGraph
 from starstring.poly import ONE, Poly, poly_gcd
-from starstring.roots import RootVal, isolate_real_roots
+from starstring.roots import RootVal
 from tests.conftest import (
     duplicated_edge_center_graph,
     increasing_rationals,
-    occurrences,
     random_center_graph,
 )
+from tests.structure_checks import sequence_certifies
 
 BEAD = Edge((F(1), F(1)), (F(1),))
 
@@ -143,49 +144,48 @@ def test_interlacing_certificate_failures():
     assert (cert.full_count, cert.sub_count, cert.failures) == (2, 1, ("mu_1 < lambda_1",))
 
 
-def _isolate_and_compare(full, sub):
-    """The certificate JSON by isolating both determinants and comparing
-    their roots pairwise: the oracle for the remainder-sequence certificate."""
-    full_roots = occurrences(isolate_real_roots(full, None, None, classify_rational=False))
-    sub_roots = occurrences(isolate_real_roots(sub, None, None, classify_rational=False))
-    failures = []
-    if len(full_roots) != full.degree:
-        failures.append("full pencil determinant has non-real roots")
-    if len(sub_roots) != sub.degree:
-        failures.append("submatrix pencil determinant has non-real roots")
-    if not failures:
-        for k, mu in enumerate(sub_roots):
-            if k < len(full_roots) and mu.compare(full_roots[k]) < 0:
-                failures.append(f"mu_{k + 1} < lambda_{k + 1}")
-            if k + 1 < len(full_roots) and mu.compare(full_roots[k + 1]) > 0:
-                failures.append(f"mu_{k + 1} > lambda_{k + 2}")
-    return {"ok": not failures, "full_count": len(full_roots), "sub_count": len(sub_roots),
-            "failures": failures}
+# a 1 x 1 pencil with a negative mass: not a star pencil, so its certificate
+# isolates and compares whatever determinants pencil_det gives
+NOT_A_STAR = (RationalMatrix(((F(1),),)), (F(-1),))
 
 
-def _check_against_oracle(full, sub):
-    """The sequence verdict and the whole certificate agree with the oracle;
-    returns the oracle's verdict."""
-    expect = _isolate_and_compare(full, sub)
+def _general_certificate(monkeypatch, full, sub):
+    """The isolate-and-compare certificate of the determinants (full, sub)."""
+    monkeypatch.setattr(matrixize, "pencil_det", lambda L, diag: (full, sub))
+    return interlacing_certificate(*NOT_A_STAR)
+
+
+def _check_against_oracle(monkeypatch, full, sub):
+    """The general certificate's verdict, which the remainder-sequence
+    oracle confirms wherever the degrees step by one."""
+    cert = _general_certificate(monkeypatch, full, sub)
     if sub.degree == full.degree - 1:
-        assert _sequence_certifies(full, sub) == expect["ok"], (full, sub)
-    assert _certify(full, sub).to_json() == expect, (full, sub)
-    return expect["ok"]
+        assert sequence_certifies(full, sub) == cert.ok, (full, sub)
+    return cert.ok
 
 
 def _determinants(graph):
     return pencil_det(*build_pencil(graph))
 
 
-def test_sequence_certificate_matches_oracle_on_pencils(rng):
+def test_star_pencils_interlace_by_theorem_and_oracle(rng, monkeypatch):
+    """On star pencils the oracle certifies what Cauchy's theorem gives, and
+    the general certificate of the same determinants agrees."""
     shared = 0
-    for _ in range(25):
-        g = random_center_graph(rng, q_max=4, max_masses=3, mass_choices=(1, 2, F(1, 2)))
-        assert _check_against_oracle(*_determinants(g))
-    for _ in range(25):
-        g = duplicated_edge_center_graph(rng, copies=rng.randint(2, 3), mass_choices=(1, F(3, 2)))
-        full, sub = _determinants(g)
-        assert _check_against_oracle(full, sub)
+    graphs = [random_center_graph(rng, q_max=4, max_masses=3, mass_choices=(1, 2, F(1, 2)))
+              for _ in range(25)]
+    graphs += [
+        duplicated_edge_center_graph(rng, copies=rng.randint(2, 3), mass_choices=(1, F(3, 2)))
+        for _ in range(25)
+    ]
+    for g in graphs:
+        L, diag = build_pencil(g)
+        full, sub = pencil_det(L, diag)
+        assert sequence_certifies(full, sub), g
+        expect = interlacing_certificate(L, diag)
+        assert expect == InterlacingCertificate(True, L.dim, L.dim - 1, ())
+        assert _general_certificate(monkeypatch, full, sub) == expect, g
+        monkeypatch.undo()
         shared += poly_gcd(full, sub).degree >= 1
     assert shared >= 10
 
@@ -222,27 +222,30 @@ def _planted_pair(rng):
     return full * common, sub * common
 
 
-def test_sequence_certificate_matches_oracle_on_planted_pairs(rng):
+def test_general_certificate_matches_sequence_oracle_on_planted_pairs(rng, monkeypatch):
+    def check(full, sub):
+        return _check_against_oracle(monkeypatch, full, sub)
+
     verdicts = {True: 0, False: 0}
     for _ in range(120):
-        verdicts[_check_against_oracle(*_planted_pair(rng))] += 1
+        verdicts[check(*_planted_pair(rng))] += 1
     assert min(verdicts.values()) >= 20
     # the dim-1 pencil: sub is the constant determinant of the empty matrix
-    assert _check_against_oracle(Poly([3, -2]), ONE)
+    assert check(Poly([3, -2]), ONE)
     # a shared double root on top of a root of full, and below every root
-    assert _check_against_oracle(_linear([1, 3, 3, 3], 1), _linear([2, 3, 3], -1))
-    assert _check_against_oracle(_linear([-1, -1, 0, 4], 1), _linear([-1, -1, 2], 1))
+    assert check(_linear([1, 3, 3, 3], 1), _linear([2, 3, 3], -1))
+    assert check(_linear([-1, -1, 0, 4], 1), _linear([-1, -1, 2], 1))
     # sub's roots just outside full's, on either side
-    assert not _check_against_oracle(_linear([0, 1], 1), _linear([F(-1, 10 ** 9)], -1))
-    assert not _check_against_oracle(_linear([0, 1], 1), _linear([1 + F(1, 10 ** 9)], -1))
+    assert not check(_linear([0, 1], 1), _linear([F(-1, 10 ** 9)], -1))
+    assert not check(_linear([0, 1], 1), _linear([1 + F(1, 10 ** 9)], -1))
     # a shared complex pair: every other root interlaces
     z2p1 = Poly([1, 0, 1])
-    assert not _check_against_oracle(_linear([0, 2], 1) * z2p1, _linear([1], 1) * z2p1)
-    # degrees that do not step by one fall back to the comparison
-    assert _check_against_oracle(_linear([0, 2, 4], 1), _linear([1], 1))
+    assert not check(_linear([0, 2], 1) * z2p1, _linear([1], 1) * z2p1)
+    # degrees that do not step by one: the comparison alone decides
+    assert check(_linear([0, 2, 4], 1), _linear([1], 1))
     # -rem(z^3 - z - 1, z^2 - 1) = 1: every leading coefficient is positive,
     # but the sequence skips degree 1 (full has one real root)
-    assert not _check_against_oracle(Poly([-1, -1, 0, 1]), Poly([-1, 0, 1]))
+    assert not check(Poly([-1, -1, 0, 1]), Poly([-1, 0, 1]))
 
 
 @pytest.fixture
@@ -270,19 +273,42 @@ def certificate_calls(monkeypatch):
 
 
 def test_certified_interlacing_isolates_at_most_the_gcd(rng, certificate_calls):
+    """A star pencil is certified by the theorem: nothing is isolated or
+    compared, not even where duplicated edges give the determinants a
+    common factor."""
     graphs = [random_center_graph(rng, q_max=4, max_masses=3, mass_choices=(1, 2))
               for _ in range(5)]
     graphs += [duplicated_edge_center_graph(rng, copies=3, mass_choices=(1, 2)) for _ in range(5)]
     shared = 0
     for g in graphs:
-        certificate_calls["isolated"].clear()
         L, diag = build_pencil(g)
         assert interlacing_certificate(L, diag).ok
-        gcd = poly_gcd(*_determinants(g))
-        assert [p.monic() for p in certificate_calls["isolated"]] == ([gcd] if gcd.degree else [])
-        shared += gcd.degree >= 1
+        shared += poly_gcd(*_determinants(g)).degree >= 1
     assert shared >= 3
+    assert certificate_calls["isolated"] == []
     assert certificate_calls["compare"] == 0
+
+
+def test_wrong_determinant_degree_is_an_invariant_violation(monkeypatch, tmp_path, capsys):
+    """A star pencil's determinant of the wrong degree is a defect of
+    ``pencil_det``: the certificate raises instead of reporting a failure,
+    and ``matrix`` exits 2 with E_INVARIANT and writes no certificate."""
+    def wrong(L, diag):
+        full, sub = pencil_det(L, diag)
+        return full * Poly([1, 0, 1]), sub
+
+    monkeypatch.setattr(matrixize, "pencil_det", wrong)
+    with pytest.raises(InvariantViolation):
+        interlacing_certificate(*build_pencil(StarGraph(Root.CENTER, F(1), (BEAD, BEAD))))
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({
+        "root": "center", "central_mass": "1",
+        "edges": [{"lengths": ["1", "1"], "masses": ["1"]}, {"lengths": ["1", "1"], "masses": ["1"]}],
+    }))
+    out = tmp_path / "pencil.json"
+    assert main(["matrix", "--graph", str(graph), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "E_INVARIANT"
+    assert out.exists() and not (tmp_path / "pencil.certificate.json").exists()
 
 
 def test_trivially_interlaced_single_row():

@@ -1,6 +1,7 @@
 """Data model invariants and serialization round trips."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,7 @@ from starstring.model import (
     serialize_plan,
     serialize_spectra,
 )
-from starstring.rational import MAX_DECIMAL_EXPONENT, parse_rational
+from starstring.rational import MAX_DECIMAL_EXPONENT, format_rational, parse_rational
 from tests.conftest import random_center_graph, random_pendant_graph
 
 
@@ -128,13 +129,29 @@ def test_spectra_decimal_parsing():
 
 
 def test_decimal_exponent_is_bounded():
-    # unbounded, Fraction would build a billion-digit power of ten
-    for text in ("1e999999999", "1E-999999999", "2.5e+1001"):
+    # unbounded, the exact value would need a billion-digit power of ten
+    # "1e\u0661\u0660\u0660\u0662" has the exponent 1002 in Arabic-Indic digits
+    for text in ("1e999999999", "1E-999999999", "2.5e+1001", "1e\u0661\u0660\u0660\u0662"):
         with pytest.raises(SchemaError) as err:
             parse_rational(text, "x")
         assert "exponent" in str(err.value)
     assert parse_rational("1e1000") == 10 ** MAX_DECIMAL_EXPONENT
     assert parse_rational("-25e-1") == F(-5, 2)
+
+
+def test_rationals_of_any_length_round_trip():
+    # past CPython's default 4,300-digit int/str limit, in both directions
+    rng = random.Random(4300)
+    for digits in (1, 20, 4299, 4301, 9000):
+        num = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        den = rng.randrange(1, 10 ** digits)
+        for value in (F(num, den), F(-num), F(num, 2 ** 20)):
+            text = format_rational(value)
+            assert parse_rational(text, "x") == value
+            if digits < 4300:
+                assert text == str(value)
+    # a decimal of 5,001 digits: 10**5000 - 1/2, scaled by 10**-3
+    assert parse_rational("9" * 5000 + ".5e-3", "x") == F(2 * 10 ** 5000 - 1, 2000)
 
 
 def test_spectra_reject_nonpositive():

@@ -58,9 +58,10 @@ def _uses_outside_poly(private):
 
 
 def test_remainder_sequence_helpers_stay_in_poly():
-    """``poly._sturm_sequence`` is the one remainder-sequence loop: no other
-    module builds its own from the pseudo-remainder and content helpers."""
-    assert _uses_outside_poly({"_prem_signed", "_int_primitive"}) == []
+    """``poly._sturm_sequence`` is the one remainder-sequence loop, and only
+    the square-free gcd in ``poly.py`` runs it: no other module calls it or
+    builds its own from the pseudo-remainder and content helpers."""
+    assert _uses_outside_poly({"_sturm_sequence", "_prem_signed", "_int_primitive"}) == []
 
 
 def test_poly_storage_stays_in_poly():
