@@ -201,7 +201,7 @@ def _poly_json(p):
 def _cmd_forward(args):
     args.refine_width = parse_rational(args.refine_width, "--refine-width")
     if args.refine_width <= 0:
-        raise RangeError(f"--refine-width must be > 0, got {args.refine_width}")
+        raise RangeError(f"--refine-width must be > 0, got {format_rational(args.refine_width)}")
     if args.digits is not None and not 0 <= args.digits <= MAX_DIGITS:
         raise RangeError(f"--digits must be in [0, {MAX_DIGITS}], got {args.digits}")
     graph = parse_graph(_read(args.graph, "graph"))

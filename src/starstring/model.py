@@ -193,7 +193,8 @@ def _canonical_multiset(entries, name):
     for value, mult in entries:
         v = Fraction(value)
         if v <= 0:
-            raise InvariantViolation(f"{name}: squared eigenvalues must be positive, got {v}")
+            raise InvariantViolation(
+                f"{name}: squared eigenvalues must be positive, got {format_rational(v)}")
         if not _is_count(mult):
             raise InvariantViolation(f"{name}: multiplicity must be a positive integer")
         merged[v] = merged.get(v, 0) + mult

@@ -109,7 +109,7 @@ class RationalFunction:
     def eval(self, x):
         d = self.den.eval(x)
         if d == 0:
-            raise DivisionByZero(f"pole at {x}")
+            raise DivisionByZero(f"pole at {format_rational(x)}")
         return self.num.eval(x) / d
 
 
@@ -181,9 +181,9 @@ def _cf_peel(f):
         else:
             raise NotStieltjes(f"degree pattern ({dn}, {dd}) is not S0")
         if a and const <= 0:
-            raise NotStieltjes(f"nonpositive constant a_{len(a)} = {const}")
+            raise NotStieltjes(f"nonpositive constant a_{len(a)} = {format_rational(const)}")
         if const < 0:
-            raise NotStieltjes(f"negative limit at infinity: {const}")
+            raise NotStieltjes(f"negative limit at infinity: {format_rational(const)}")
         a.append(const)
         rests.append((num, den))
         if num.is_zero:
@@ -192,7 +192,8 @@ def _cf_peel(f):
             raise NotStieltjes("unexpected cancellation while extracting a constant")
         slope, den = den.cancel_lead(num)
         if slope >= 0:
-            raise NotStieltjes(f"nonpositive mass coefficient b_{len(b) + 1} = {-slope}")
+            raise NotStieltjes(
+                f"nonpositive mass coefficient b_{len(b) + 1} = {format_rational(-slope)}")
         b.append(-slope)
         if den.is_zero:
             raise NotStieltjes("continued fraction terminated inside a linear level")
@@ -246,7 +247,7 @@ def _polynomial_part(f):
     a0 = -q.coeffs[1] if q.degree == 1 else Fraction(0)
     const = q.coeffs[0] if q.degree >= 0 else Fraction(0)
     if a0 < 0:
-        raise BadShape(f"linear part {-a0}*z grows upward, not a Nevanlinna shape")
+        raise BadShape(f"linear part {format_rational(-a0)}*z grows upward, not a Nevanlinna shape")
     # gcd(r, den) = gcd(num, den) = 1
     proper = RationalFunction.from_coprime(r, f.den)
     return a0, const, proper
@@ -270,7 +271,8 @@ def _residues(proper, poles):
     for pole in poles:
         residue = proper.num.eval(pole) / dden.eval(pole)
         if residue <= 0:
-            raise BadShape(f"nonpositive residue {residue} at pole {pole}")
+            raise BadShape(f"nonpositive residue {format_rational(residue)} "
+                           f"at pole {format_rational(pole)}")
         pairs.append((Fraction(pole), residue))
     return tuple(sorted(pairs))
 

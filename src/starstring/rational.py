@@ -3,10 +3,9 @@
 The canonical scalar everywhere is :class:`fractions.Fraction`.  Text input
 accepts "p/q", plain integers, and decimal strings; decimals are read as
 exact decimal fractions ("0.5" -> 1/2), with exponents bounded by
-MAX_DECIMAL_EXPONENT.  Output is always "p/q" or "p".  Integers past 600
-digits convert through :class:`decimal.Decimal`: CPython limits int/str
-conversion to 4,300 digits by default (never to fewer than 640), and the
-interpreter's setting stays as it is.
+MAX_DECIMAL_EXPONENT.  Output is always "p/q" or "p".  Integers convert
+through :class:`decimal.Decimal`: CPython limits int/str conversion to 4,300
+digits by default, and the interpreter's setting stays as it is.
 """
 
 from __future__ import annotations
@@ -27,11 +26,7 @@ _RATIONAL = re.compile(
 
 
 def _int(digits):
-    return int(digits) if len(digits) < 600 else int(Decimal(digits))
-
-
-def _digits(n):
-    return str(n) if n.bit_length() < 1990 else format(Decimal(n), "f")
+    return int(Decimal(digits))
 
 
 def parse_rational(text, context="value"):
@@ -43,20 +38,21 @@ def parse_rational(text, context="value"):
     if not isinstance(text, str):
         raise SchemaError(f"{context}: expected rational string, got {type(text).__name__}")
     m = _RATIONAL.match(text)
-    if m is None or m["den"] and not _int(m["den"]):
+    if m is None or not (den := _int(m["den"] or "1")):
         raise SchemaError(f"{context}: not a rational number: {text!r}")
-    exp = _int(m["exp"] or "0")
-    if abs(exp) > MAX_DECIMAL_EXPONENT:
+    exp = (m["exp"] or "0").replace("_", "")
+    # an exponent with more digits than the bound is refused unconverted
+    if (len(exp.lstrip("+-0")) > len(str(MAX_DECIMAL_EXPONENT))
+            or abs(exp := _int(exp)) > MAX_DECIMAL_EXPONENT):
         raise SchemaError(f"{context}: decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}")
     dec = (m["dec"] or "").replace("_", "")
     exp -= len(dec)
-    num = _int((m["num"] or "0") + dec) * 10 ** max(exp, 0)
-    value = Fraction(num, _int(m["den"] or "1") * 10 ** max(-exp, 0))
+    value = Fraction(_int((m["num"] or "0") + dec) * 10 ** max(exp, 0), den * 10 ** max(-exp, 0))
     return -value if m["sign"] == "-" else value
 
 
 def format_rational(value):
     """Canonical string form: "p/q", or "p" for integers."""
     value = Fraction(value)
-    num = _digits(value.numerator)
-    return num if value.denominator == 1 else f"{num}/{_digits(value.denominator)}"
+    num = str(Decimal(value.numerator))
+    return num if value.denominator == 1 else f"{num}/{str(Decimal(value.denominator))}"

@@ -35,6 +35,7 @@ from math import isqrt
 
 from .errors import DivisionByZero, RangeError
 from .poly import Poly, _int_poly_gcd, _value, squarefree_factor
+from .rational import format_rational
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -247,7 +248,7 @@ class RootVal:
 
     def refine_to_width(self, width):
         if width <= 0:
-            raise RangeError(f"refinement width must be > 0, got {width}")
+            raise RangeError(f"refinement width must be > 0, got {format_rational(width)}")
         if self.rat is None:
             # the least depth e >= 0 with (hi - lo)/2**e <= width
             _, v, den = self._frame

@@ -395,6 +395,17 @@ def test_long_values_print_in_validation_messages(tmp_path):
     assert any(huge in i["message"] for i in issues)
 
 
+def test_long_values_print_in_error_messages(tmp_path, capsys):
+    # a nonpositive 5,001-digit eigenvalue is named in its E_INVARIANT
+    huge = "-1" + "0" * 5000
+    spectra = write(tmp_path / "s.json", {
+        "neumann_squared": [{"value": huge, "mult": 1}], "dirichlet_squared": [],
+    })
+    assert main(["inverse-center", "--spectra", spectra, "--lengths", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "E_INVARIANT" and huge in err["message"]
+
+
 def test_a_json_integer_past_the_digit_limit_is_a_schema_error(tmp_path, capsys):
     spectra = tmp_path / "s.json"
     spectra.write_text('{"neumann_squared": [{"value": "1", "mult": 1%s}], '
@@ -405,6 +416,7 @@ def test_a_json_integer_past_the_digit_limit_is_a_schema_error(tmp_path, capsys)
 
 @pytest.mark.parametrize("flag", [
     ["--refine-width", "0"], ["--refine-width=-1/2"], ["--digits=-3"], ["--digits=4001"],
+    ["--refine-width=-1" + "0" * 5000],
 ])
 def test_forward_rejects_out_of_range_options(tmp_path, capsys, flag):
     # the graph has irrational eigenvalues, so a zero width would be refined

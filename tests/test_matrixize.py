@@ -157,10 +157,13 @@ def _general_certificate(monkeypatch, full, sub):
 
 def _check_against_oracle(monkeypatch, full, sub):
     """The general certificate's verdict, which the remainder-sequence
-    oracle confirms wherever the degrees step by one."""
+    oracle confirms wherever the degrees step by one; a certified pair
+    counts every root of both determinants."""
     cert = _general_certificate(monkeypatch, full, sub)
     if sub.degree == full.degree - 1:
         assert sequence_certifies(full, sub) == cert.ok, (full, sub)
+    if cert.ok:
+        assert (cert.full_count, cert.sub_count, cert.failures) == (full.degree, sub.degree, ())
     return cert.ok
 
 

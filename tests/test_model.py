@@ -135,6 +135,11 @@ def test_decimal_exponent_is_bounded():
         with pytest.raises(SchemaError) as err:
             parse_rational(text, "x")
         assert "exponent" in str(err.value)
+    # an exponent longer than the bound's digits is refused unconverted;
+    # leading zeros do not count
+    with pytest.raises(SchemaError, match="exponent"):
+        parse_rational("1e" + "9" * 100_000, "x")
+    assert parse_rational("1e" + "0" * 5000 + "3") == 1000
     assert parse_rational("1e1000") == 10 ** MAX_DECIMAL_EXPONENT
     assert parse_rational("-25e-1") == F(-5, 2)
 
