@@ -300,10 +300,11 @@ def _roundtrip_graph(graph):
         lengths = [e.total_length for e in graph.edges]
         psi = quotient.inverse()
         rebuilt = ic.reconstruct_center_grouped(psi, factors, lengths)
-        quotient2, _ = fwd.center_quotient(rebuilt)
+        # quotient is canonical and phi_N is nonzero, so cross-multiplying needs no gcd
+        phi_n, phi_d = fwd.char_polys(rebuilt)
         return {
             "mode": "center",
-            "pass": quotient2 == quotient,
+            "pass": phi_d * quotient.den == phi_n * quotient.num,
             "detail": "canonical phi_D/phi_N compared exactly",
         }
     quotient, _ = fwd.pendant_quotient(graph)
@@ -322,8 +323,8 @@ def _roundtrip_spectra(args, spectra, lengths):
         rec = ic.reconstruct_center(spectra, lengths)
     phi_n, phi_d = fwd.char_polys(rec.graph)
     ok = all(
-        phi.monic() == Poly.from_linear_roots([v for v, m in values for _ in range(m)])
-        for phi, values in ((phi_n, spectra.neumann_sq), (phi_d, spectra.dirichlet_sq))
+        phi.monic() == Poly.from_linear_roots(values)
+        for phi, values in ((phi_n, spectra.neumann_values()), (phi_d, spectra.dirichlet_values()))
     )
     return {"mode": f"spectra-{args.root}", "pass": ok,
             "detail": "reconstructed graph's spectra compared to the input multisets"}

@@ -130,13 +130,10 @@ def validate_center(spectra, q):
                     f"lambda_{k + 1}={format_rational(lam[k])}, "
                     f"zeta_{k + 1}={format_rational(zet[k])}",
                 ))
-    if m_positive is not None and n == 0 and lam_count > 1:
-        issues.append(Issue("count", "empty Dirichlet spectrum admits at most one Neumann value"))
     issues += caps
     if q == 1:
-        common = {v for v, _ in spectra.neumann_sq} & {v for v, _ in spectra.dirichlet_sq}
-        if common:
-            shared = ", ".join(format_rational(v) for v in sorted(common))
+        if common := _common_values(spectra):
+            shared = ", ".join(format_rational(v) for v, _ in common)
             issues.append(Issue(
                 "multiplicity", f"single-string data must interlace strictly, shared [{shared}]"
             ))

@@ -216,15 +216,9 @@ def validate_subgraph_data(dec, lengths):
     den_roots = isolate_real_roots(dec.tail.den, Fraction(0), None)
     if not all(rv.is_rational for rv, _ in num_roots + den_roots):
         return None
-    common = dict(dec.common_zeros)
-    dirichlet = {}
-    for rv, m in num_roots:
-        dirichlet[rv.rat] = dirichlet.get(rv.rat, 0) + m
-    neumann = {}
-    for rv, m in den_roots:
-        neumann[rv.rat] = neumann.get(rv.rat, 0) + m
-    for v, m in common.items():
-        dirichlet[v] = dirichlet.get(v, 0) + m
-        neumann[v] = neumann.get(v, 0) + m
-    pair = SpectrumPair(tuple(sorted(neumann.items())), tuple(sorted(dirichlet.items())))
+    # SpectrumPair merges the common zeros into the roots' multiplicities
+    pair = SpectrumPair(
+        tuple((rv.rat, m) for rv, m in den_roots) + dec.common_zeros,
+        tuple((rv.rat, m) for rv, m in num_roots) + dec.common_zeros,
+    )
     return validate_center(pair, len(lengths))

@@ -284,9 +284,7 @@ def _new(num, den, ints):
 
 
 def _value(coeffs, p, q):
-    """q**n * f(p/q) for f of degree n and q > 0, by homogeneous evaluation in integers."""
-    if not coeffs:
-        return 0
+    """q**n * f(p/q) for nonzero f of degree n and q > 0, homogeneously in integers."""
     acc = coeffs[-1]
     qpow = 1
     for i in range(len(coeffs) - 2, -1, -1):
@@ -383,19 +381,17 @@ def poly_gcd(p, q):
 
 
 def poly_extended_gcd(p, q):
-    """Extended Euclid: returns (g, s, t) monic g with s*p + t*q = g."""
+    """Half-extended Euclid: returns (g, s), monic g with s*p = g mod q."""
     r0, r1 = p, q
     s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
     while not r1.is_zero:
         qt, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - qt * s1
-        t0, t1 = t1, t0 - qt * t1
     if r0.is_zero:
         raise DivisionByZero("gcd(0, 0) undefined")
     c = r0.lc
-    return r0.monic(), s0.scale(1 / c), t0.scale(1 / c)
+    return r0.monic(), s0.scale(1 / c)
 
 
 def squarefree_factor(p):

@@ -329,7 +329,7 @@ def split_proper_by_factors(proper, factors):
     total = ZERO
     for d in factors:
         m = den.divexact(d)
-        g, s, _ = poly_extended_gcd(m, d)
+        g, s = poly_extended_gcd(m, d)
         if g.degree != 0:
             raise BadShape("denominator factors are not pairwise coprime")
         # R/(m*d) = (R*s mod d)/d + ...; s is the inverse of m modulo d, so

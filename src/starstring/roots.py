@@ -464,8 +464,6 @@ def isolate_real_roots(p, lo=Fraction(0), hi=None, classify_rational=True):
     found = []
     for factor, mult in squarefree_factor(p):
         ints = factor.primitive_int()
-        if len(ints) <= 1:
-            continue
         bound = _cauchy_bound(ints) + 1
         a = -bound if lo is None else max(lo, -bound)
         b = bound if hi is None else min(hi, bound)

@@ -12,6 +12,7 @@ check on the isolate-and-compare path of ``matrixize.interlacing_certificate``.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations, product
 
 from starstring.errors import InvariantViolation
 from starstring.forward import (
@@ -21,7 +22,7 @@ from starstring.forward import (
     edge_cauer_polys,
     pendant_quotient,
 )
-from starstring.model import Root
+from starstring.model import ReconstructionPlan, Root
 from starstring.poly import ONE, ZERO, Poly, _sturm_sequence, poly_gcd, squarefree_factor
 from starstring.ratfun import RationalFunction, _ladder
 from starstring.roots import isolate_real_roots
@@ -34,6 +35,28 @@ def unclassified_spectrum(p):
     if p.degree <= 0:
         return []
     return isolate_real_roots(p, Fraction(0), None, classify_rational=False)
+
+
+def realizes(graph, spectra):
+    """The graph's monic characteristic polynomials are the products over
+    the two multisets of ``spectra``."""
+    phi_n, phi_d = char_polys(graph)
+    return (phi_n.monic(), phi_d.monic()) == (
+        Poly.from_linear_roots(spectra.neumann_values()),
+        Poly.from_linear_roots(spectra.dirichlet_values()),
+    )
+
+
+def every_plan(poles, q):
+    """A ReconstructionPlan for every occurrence partition of ``poles``,
+    ((value, mult), ...), over q edges: once with the default equal
+    residue shares, once with the unequal shares 1 : 2 : ... : mult."""
+    unequal = tuple(
+        (v, tuple(Fraction(2 * k, m * (m + 1)) for k in range(1, m + 1))) for v, m in poles
+    )
+    for partition in product(*(combinations(range(q), m) for _, m in poles)):
+        yield ReconstructionPlan(partition)
+        yield ReconstructionPlan(partition, unequal)
 
 
 def rf_sum(a, b):

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import starstring
+from starstring import inverse_center as ic
 from starstring.cli import main
+from starstring.model import Edge, StarGraph
 
 EX_SPECTRA = {
     "neumann_squared": [
@@ -157,23 +159,59 @@ def test_roundtrip_graph(tmp_path):
     assert json.loads(out.read_text())["pass"] is True
 
 
-@pytest.mark.parametrize("central_mass, edges", [
+CENTER_GRAPHS = [
     # pairwise coprime Dirichlet factors
     ("1", [(["1", "1"], ["1"]), (["2", "1"], ["3"])]),
     # two edges share the Dirichlet value of z - 2
     ("1", [(["1", "1"], ["1"]), (["1", "1"], ["1"]), (["2", "1"], ["3"])]),
     # three edges share the irrational factor 6z^2 - 12z + 4
     ("0", [(["1", "2", "1"], ["1", "3"])] * 3),
-])
-def test_roundtrip_center_graph(tmp_path, central_mass, edges):
-    graph = write(tmp_path / "g.json", {
+]
+
+
+def center_graph(path, central_mass, edges):
+    return write(path, {
         "root": "center", "central_mass": central_mass,
         "edges": [{"lengths": lengths, "masses": masses} for lengths, masses in edges],
     })
+
+
+@pytest.mark.parametrize("central_mass, edges", CENTER_GRAPHS)
+def test_roundtrip_center_graph(tmp_path, central_mass, edges):
+    graph = center_graph(tmp_path / "g.json", central_mass, edges)
     out = tmp_path / "verdict.json"
     assert main(["verify-roundtrip", "--graph", graph, "--out", str(out)]) == 0
     verdict = json.loads(out.read_text())
     assert verdict["mode"] == "center" and verdict["pass"] is True
+
+
+@pytest.mark.parametrize("central_mass, edges", CENTER_GRAPHS)
+def test_center_roundtrip_canonicalizes_one_quotient(tmp_path, canonical_calls, central_mass, edges):
+    """The rebuilt graph's polynomials are checked against the canonical
+    quotient by cross-multiplication, not canonicalized a second time."""
+    graph = center_graph(tmp_path / "g.json", central_mass, edges)
+    assert main(["verify-roundtrip", "--graph", graph, "--out", str(tmp_path / "v.json")]) == 0
+    assert canonical_calls["make"] == 1
+
+
+def test_center_roundtrip_fails_on_a_changed_mass(tmp_path, monkeypatch):
+    """The cross-multiplied check can fail: a rebuilt graph with one mass
+    doubled is reported, with exit 2."""
+    real = ic.reconstruct_center_grouped
+
+    def perturbed(psi, factors, lengths):
+        graph = real(psi, factors, lengths)
+        first, *rest = graph.edges
+        changed = Edge(first.lengths, (2 * first.masses[0], *first.masses[1:]))
+        return StarGraph(graph.root, graph.central_mass, (changed, *rest))
+
+    monkeypatch.setattr(ic, "reconstruct_center_grouped", perturbed)
+    graph = center_graph(tmp_path / "g.json", *CENTER_GRAPHS[0])
+    out = tmp_path / "verdict.json"
+    assert main(["verify-roundtrip", "--graph", graph, "--out", str(out)]) == 2
+    assert json.loads(out.read_text()) == {
+        "mode": "center", "pass": False, "detail": "canonical phi_D/phi_N compared exactly",
+    }
 
 
 def test_roundtrip_spectra(ex_files):
@@ -538,6 +576,48 @@ def test_unexpected_exception_is_e_internal(tmp_path, capsys, monkeypatch):
     assert json.loads(err[0]) == {"error": "E_INTERNAL", "message": "ZeroDivisionError: a defect"}
 
 
+def test_forward_without_out_prints_what_out_would_write(tmp_path, capsysbinary):
+    """Without --out, stdout carries the --out file and then its .polys sibling."""
+    graph = write(tmp_path / "g.json", EX_GRAPH)
+    out = tmp_path / "s.json"
+    assert main(["forward", "--graph", graph, "--emit-polys", "--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert main(["forward", "--graph", graph, "--emit-polys"]) == 0
+    printed = capsysbinary.readouterr().out
+    assert printed == out.read_bytes() + (tmp_path / "s.polys.json").read_bytes()
+
+
+def test_failing_validate_prints_its_report(tmp_path, capsysbinary):
+    spectra = write(tmp_path / "bad.json", {
+        "neumann_squared": [{"value": "1", "mult": 1}],
+        "dirichlet_squared": [{"value": "1", "mult": 1}],
+    })
+    argv = ["validate", "--spectra", spectra, "--root", "pendant", "--main-length", "1",
+            "--lengths", "1"]
+    assert main(argv) == 2
+    printed = capsysbinary.readouterr()
+    assert printed.err == b"" and json.loads(printed.out)["valid"] is False
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert printed.out == out.read_bytes()
+
+
+def test_a_failed_rename_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    import starstring.cli as cli
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    graph = write(tmp_path / "g.json", EX_GRAPH)
+    assert main(["forward", "--graph", graph, "--out", str(tmp_path / "s.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in err] == [
+        {"error": "E_INTERNAL", "message": "OSError: rename refused"}
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+
 def test_roundtrip_spectra_center_with_tied_value(tmp_path):
     # 2 is a Neumann and a double Dirichlet eigenvalue: non-strict interlacing
     spectra = write(tmp_path / "s.json", {
@@ -856,3 +936,55 @@ def test_two_string_pendant_follows_a_feasible_plan(tmp_path):
     assert "subgraph_plan" not in json.loads((tmp_path / "a.plan.json").read_text())
     used = json.loads((tmp_path / "b.plan.json").read_text())["subgraph_plan"]
     assert used["reusable_plan"] == {"partition": [[0]], "residue_split": {"8/3": ["1"]}}
+
+
+NO_DIRICHLET = {"neumann_squared": [{"value": v} for v in ("1", "2", "3")], "dirichlet_squared": []}
+NO_SPECTRA = {"neumann_squared": [], "dirichlet_squared": []}
+BARE_EDGE = {"lengths": ["1"], "masses": []}
+
+
+@pytest.mark.parametrize("argv, files, status, code, message", [
+    (["validate", "--spectra", "s.json", "--lengths", "1,1"], {"s.json": NO_DIRICHLET},
+     2, "count", "need #neumann = #dirichlet or #dirichlet + 1, got 3 vs 0"),
+    (["inverse-center", "--spectra", "s.json", "--lengths", "2,1", "--plan", "p.json"],
+     {"s.json": EX_SPECTRA, "p.json": {"partition": [[0], [0]]}},
+     2, "E_PLAN_INFEASIBLE", "value 2 needs 2 edges, partition gives 1"),
+    (["inverse-center", "--spectra", "s.json", "--lengths", "2,1", "--plan", "p.json"],
+     {"s.json": EX_SPECTRA, "p.json": {"residue_split": {"2": ["1"]}}},
+     2, "E_PLAN_INFEASIBLE", "value 2 needs 2 residue shares"),
+    (["validate", "--spectra", "s.json", "--root", "pendant", "--main-length", "1",
+      "--lengths", "1"], {"s.json": NO_SPECTRA},
+     2, "count", "need at least one eigenvalue pair"),
+    (["forward", "--graph", "g.json"], {"g.json": {"root": "center", "edges": {}}},
+     1, "E_SCHEMA", "graph.edges: expected array"),
+    (["forward", "--graph", "g.json"], {"g.json": {"root": "pendant", "edges": [BARE_EDGE]}},
+     1, "E_SCHEMA", "graph.main_edge: required for pendant root"),
+    (["forward", "--graph", "g.json"],
+     {"g.json": {"root": "center", "main_edge": BARE_EDGE, "edges": [BARE_EDGE] * 2}},
+     1, "E_SCHEMA", "graph.main_edge: not allowed for centre root"),
+    (["inverse-center", "--spectra", "s.json", "--lengths", "2,1", "--plan", "p.json"],
+     {"s.json": EX_SPECTRA, "p.json": []}, 1, "E_SCHEMA", "plan: expected object"),
+    (["inverse-center", "--spectra", "s.json", "--lengths", "2,1", "--plan", "p.json"],
+     {"s.json": EX_SPECTRA, "p.json": {"partition": {}}},
+     1, "E_SCHEMA", "plan.partition: expected array of arrays"),
+    (["inverse-center", "--spectra", "s.json", "--lengths", "2,1", "--plan", "p.json"],
+     {"s.json": EX_SPECTRA, "p.json": {"residue_split": []}},
+     1, "E_SCHEMA", "plan.residue_split: expected object"),
+], ids=["count", "partition-edges", "share-count", "no-pair", "edges-not-array",
+        "pendant-without-main", "center-with-main", "plan-not-object",
+        "partition-not-array", "split-not-object"])
+def test_each_error_branch_reports_its_code(tmp_path, capsys, argv, files, status, code, message):
+    """An error is one stderr line; a validation failure is one issue in
+    the report.  Either way the code, message and exit status are fixed."""
+    for name, obj in files.items():
+        write(tmp_path / name, obj)
+    out = tmp_path / "o.json"
+    got = main([str(tmp_path / a) if a in files else a for a in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if err:
+        (line,) = err
+        found = json.loads(line)["error"], json.loads(line)["message"]
+    else:
+        (issue,) = json.loads(out.read_text())["issues"]
+        found = issue["code"], issue["message"]
+    assert (got, *found) == (status, code, message)

@@ -18,6 +18,7 @@ from starstring.inverse_pendant import validate_pendant
 from starstring.model import ReconstructionPlan, SpectrumPair
 from starstring.poly import Poly, poly_gcd
 from tests.conftest import random_center_graph, random_center_spectral_data
+from tests.structure_checks import every_plan, realizes
 
 EX_SPECTRA = SpectrumPair(((F(1), 1), (F(2), 1)), ((F(2), 2),))
 EX_LENGTHS = [F(2), F(1)]
@@ -233,3 +234,18 @@ def test_reconstruction_takes_no_gcd(canonical_calls, rng):
         spectra, lengths, _, _ = random_center_spectral_data(rng)
         reconstruct_center(spectra, lengths)
     assert canonical_calls == {"poly_gcd": 0, "make": 0}
+
+
+def test_every_plan_realizes_the_spectra(rng):
+    """forward(inverse) is the identity on tied seeded data under every
+    occurrence partition, with equal and with unequal residue shares."""
+    plans = 0
+    for _ in range(8):
+        spectra, lengths, q, _ = random_center_spectral_data(rng)
+        assert validate_center(spectra, q).valid
+        for plan in every_plan(spectra.dirichlet_sq, q):
+            rec = reconstruct_center(spectra, lengths, plan, validate=False)
+            assert rec.plan_used.partition == plan.partition
+            assert realizes(rec.graph, spectra)
+            plans += 1
+    assert plans > 1000

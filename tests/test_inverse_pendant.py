@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import accumulate, combinations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from starstring.errors import InvariantViolation, MainTooLong
 from starstring.forward import char_polys, pendant_quotient, spectrum_of
@@ -20,6 +20,7 @@ from starstring.poly import Poly
 from starstring.ratfun import RationalFunction, StieltjesCF, cf_expand, cf_to_ratfun
 from starstring.roots import isolate_real_roots
 from tests.conftest import random_pendant_graph, random_pendant_spectral_data
+from tests.structure_checks import every_plan, realizes
 
 EX_SPECTRA = SpectrumPair(
     ((F(1, 2), 1), (F(3, 2), 1), (F(2), 1)),
@@ -300,7 +301,9 @@ def tied_pendant_data(draw):
     return spectra, main_length, lengths + [1 / last], v
 
 
-@settings(max_examples=40, deadline=None)
+# only about one tied draw in five has a cut, a share of filtered draws
+# that Hypothesis's filter_too_much health check refuses in some runs
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(tied_pendant_data(), st.lists(st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9),
                                      min_size=2, max_size=4, unique=True))
 def test_every_subgraph_plan_gives_the_same_main_edge(data, shares):
@@ -333,3 +336,28 @@ def test_reconstruction_does_not_canonicalise(canonical_calls, rng):
     for _ in range(10):
         reconstruct_pendant(*random_pendant_spectral_data(rng, q_max=4, n_max=4))
     assert canonical_calls["make"] == 0
+
+
+# the spectra of a pendant graph whose first two non-main edges are equal:
+# the subgraph quotient has the poles 2/3 once and the shared 7/6 twice
+TIED_SUBGRAPH_SPECTRA = SpectrumPair(
+    ((F(1, 2), 1), (F(53, 66), 1), (F(7, 6), 1)),
+    ((F(43, 78), 1), (F(5, 6), 1), (F(7, 6), 1)),
+)
+TIED_SUBGRAPH_LENGTHS = [F(7, 2), F(7, 2), F(8, 3)]
+
+
+def test_every_subgraph_plan_realizes_the_spectra():
+    """forward(inverse) is the identity under every occurrence partition of
+    the subgraph's poles, with equal and with unequal residue shares."""
+    data = TIED_SUBGRAPH_SPECTRA, F(3), TIED_SUBGRAPH_LENGTHS
+    default = reconstruct_pendant(*data).subgraph_plan
+    poles = [(v, len(edges)) for edges, (v, _) in zip(default.partition, default.residue_split)]
+    assert poles == [(F(2, 3), 1), (F(7, 6), 2)]
+    graphs = set()
+    for plan in every_plan(poles, len(TIED_SUBGRAPH_LENGTHS)):
+        rec = reconstruct_pendant(*data, plan)
+        assert rec.subgraph_plan.partition == plan.partition
+        assert realizes(rec.graph, TIED_SUBGRAPH_SPECTRA)
+        graphs.add(rec.graph)
+    assert len(graphs) == 18

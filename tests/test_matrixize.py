@@ -42,6 +42,11 @@ def test_massless_edges_collapse_to_center_row():
     assert full == Poly([F(2), F(-1)])
 
 
+def test_matrix_must_be_square():
+    with pytest.raises(InvariantViolation, match="square"):
+        RationalMatrix(((1, 2), (3,)))
+
+
 def test_requires_positive_mass():
     g = StarGraph(Root.CENTER, F(0), (BEAD, BEAD))
     with pytest.raises(RequiresPositiveCentralMass):

@@ -188,3 +188,13 @@ def test_mass_counts(rng):
     n = g.main_edge.mass_count + sum(e.mass_count for e in g.edges)
     assert g.point_mass_count == n
     assert g.spectral_size == n + (1 if g.central_mass > 0 else 0)
+
+
+@pytest.mark.parametrize("root, mass, edges, main, message", [
+    (Root.CENTER, F(-1), 2, None, "central mass must be >= 0"),
+    (Root.CENTER, F(0), 2, Edge((F(1),), ()), "centre-rooted graph has no main edge"),
+    (Root.PENDANT, F(0), 0, Edge((F(1),), ()), "pendant-rooted graph needs a non-main edge"),
+])
+def test_graph_shape_is_checked(root, mass, edges, main, message):
+    with pytest.raises(InvariantViolation, match=message):
+        StarGraph(root, mass, (Edge((F(1),), ()),) * edges, main)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from starstring.errors import DivisionByZero
 from starstring.poly import (
-    ONE, Poly, ZERO, _sturm_sequence, poly_gcd, squarefree_factor,
+    ONE, Poly, ZERO, _sturm_sequence, poly_extended_gcd, poly_gcd, squarefree_factor,
 )
 
 
@@ -157,6 +157,20 @@ def _random_poly(rng, degree, bits):
     while lead == 0:
         lead = coeff()
     return Poly([coeff() for _ in range(degree)] + [lead])
+
+
+def test_half_extended_gcd_gives_the_cofactor_of_p():
+    """(g, s) with g the monic gcd and s*p = g modulo q."""
+    rng = random.Random(20261020)
+    for _ in range(30):
+        g = _random_poly(rng, rng.randint(0, 3), 32)
+        p = _random_poly(rng, rng.randint(0, 6), 32) * g
+        q = _random_poly(rng, rng.randint(1, 6), 32) * g
+        gcd, s = poly_extended_gcd(p, q)
+        assert gcd == poly_gcd(p, q)
+        assert divmod(s * p - gcd, q)[1].is_zero
+    with pytest.raises(DivisionByZero):
+        poly_extended_gcd(ZERO, ZERO)
 
 
 def _to_sympy(sympy, x, p):

@@ -10,7 +10,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starstring.errors import BadShape, NotStieltjes
+from starstring.errors import BadShape, InvariantViolation, NotStieltjes
 from starstring.inverse_center import build_psi
 from starstring.inverse_pendant import build_phi
 from starstring.model import SpectrumPair
@@ -207,6 +207,22 @@ class TestContinuedFraction:
         with pytest.raises(NotStieltjes):
             cf_expand(RationalFunction(P(-2, 1), P(1, 1)))
 
+    def test_cancellation_below_the_next_level_rejected(self):
+        # (z^2 + 1)/(z^2 + 2) - 1 = -1/(z^2 + 2) drops two degrees at once
+        with pytest.raises(NotStieltjes, match="unexpected cancellation"):
+            cf_expand(RationalFunction(P(1, 0, 1), P(2, 0, 1)))
+
+    @pytest.mark.parametrize("a, b, message", [
+        ((1, 1), (1, 1), "one more constant"),
+        ((-1, 1), (1,), "leading constant"),
+        ((0,), (), "zero function"),
+        ((0, 0), (1,), "interior coefficients"),
+        ((0, 1), (-1,), "interior coefficients"),
+    ])
+    def test_coefficients_are_checked(self, a, b, message):
+        with pytest.raises(InvariantViolation, match=message):
+            StieltjesCF(a, b)
+
 
 class TestTails:
     def test_tail_zero_monotonicity(self, rng):
@@ -317,6 +333,15 @@ class TestPartialFractions:
                 assert not any(rv.is_rational for rv, _ in isolate_real_roots(got.den, None, None))
                 mixed += bool(terms)
         assert mixed >= 10
+
+    @pytest.mark.parametrize("f, message", [
+        (RationalFunction(P(0, 0, 1), ONE), "polynomial part has degree 2"),
+        (RationalFunction(P(0, 1), ONE), "grows upward"),
+        (RationalFunction(P(-1), P(-1, 1)), "nonpositive residue -1 at pole 1"),
+    ], ids=["quadratic", "rising", "negative-residue"])
+    def test_shapes_that_are_not_nevanlinna_refused(self, f, message):
+        with pytest.raises(BadShape, match=message):
+            partial_fractions(f)
 
     def test_known_pole_variant_rejects_wrong_poles(self):
         f = RationalFunction(P(3, -3), P(2, -1))

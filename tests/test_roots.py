@@ -7,10 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from starstring import roots
-from starstring.errors import RangeError
+from starstring.errors import DivisionByZero, RangeError
 from starstring.forward import char_polys
 from starstring.model import Edge, Root, StarGraph
-from starstring.poly import ONE, Poly, _sturm_sequence, squarefree_factor
+from starstring.poly import ONE, ZERO, Poly, _sturm_sequence, squarefree_factor
 from starstring.roots import RootVal, isolate_real_roots
 
 
@@ -23,6 +23,12 @@ def test_single_rational_root():
     assert len(roots) == 1
     rv, mult = roots[0]
     assert rv.is_rational and rv.rat == 2 and mult == 1
+
+
+@pytest.mark.parametrize("solve", [isolate_real_roots, squarefree_factor])
+def test_the_zero_polynomial_is_refused(solve):
+    with pytest.raises(DivisionByZero):
+        solve(ZERO)
 
 
 def test_multiplicities():
