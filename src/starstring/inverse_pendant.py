@@ -140,7 +140,7 @@ def validate_pendant(spectra, main_length, lengths):
     if not issues:
         try:
             dec = decompose_main(spectra, main_length, lengths)
-        except (NotStieltjes, MainTooLong) as exc:
+        except NotStieltjes as exc:
             issues.append(Issue(exc.code, exc.message))
         else:
             for v, _ in dec.common_zeros:

@@ -11,12 +11,13 @@ mass-normalized matrix keeps every entry rational; the spectra agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm as _ilcm, prod
 
 from .errors import InvariantViolation, RequiresPositiveCentralMass
 from .model import Root
-from .poly import ONE, Poly
+from .poly import Poly, _convolve
 from .rational import format_rational
 from .roots import isolate_real_roots
 
@@ -24,20 +25,33 @@ from .roots import isolate_real_roots
 @dataclass(frozen=True)
 class RationalMatrix:
     entries: tuple  # tuple of row tuples, square
+    # (i, j, entries[i][j]) for each nonzero entry off the diagonal, row by row
+    pattern: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(c) for c in row) for row in self.entries)
+        rows = tuple(tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row)
+                     for row in self.entries)
         object.__setattr__(self, "entries", rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise InvariantViolation("matrix must be square")
+        pattern = tuple((i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row)
+                        if c and i != j)
+        object.__setattr__(self, "pattern", pattern)
 
     @property
     def dim(self):
         return len(self.entries)
 
     def to_json(self):
-        return [[format_rational(c) for c in row] for row in self.entries]
+        n = self.dim
+        out = [["0"] * n for _ in range(n)]
+        for i in range(n):
+            if c := self.entries[i][i]:
+                out[i][i] = format_rational(c)
+        for i, j, c in self.pattern:
+            out[i][j] = format_rational(c)
+        return out
 
 
 def build_pencil(graph):
@@ -55,17 +69,17 @@ def build_pencil(graph):
         diag.extend(e.masses)
     n = len(diag)
     rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[0][0] = sum((1 / e.lengths[0] for e in graph.edges), Fraction(0))
     pos = 1
     for e in graph.edges:
+        w = [1 / l for l in e.lengths]  # the spring constants, centre outward
+        rows[0][0] += w[0]
         k = e.mass_count
-        if k == 0:
-            continue
-        rows[0][pos] = rows[pos][0] = -1 / e.lengths[0]
+        if k:
+            rows[0][pos] = rows[pos][0] = -w[0]
         for i in range(k):
-            rows[pos + i][pos + i] = 1 / e.lengths[i] + 1 / e.lengths[i + 1]
+            rows[pos + i][pos + i] = w[i] + w[i + 1]
             if i + 1 < k:
-                rows[pos + i][pos + i + 1] = rows[pos + i + 1][pos + i] = -1 / e.lengths[i + 1]
+                rows[pos + i][pos + i + 1] = rows[pos + i + 1][pos + i] = -w[i + 1]
         pos += k
     return RationalMatrix(tuple(tuple(r) for r in rows)), tuple(diag)
 
@@ -89,12 +103,25 @@ def pencil_det(L, mass_diag):
     determinant is Q_0 times the P of the other roots, and for a star
     pencil Q_0 alone.  On a chain this is the three-term continuant, at
     the centre the Schur complement; it takes O(n^2) coefficient operations.
+
+    The elimination runs on integer coefficient vectors: row v of L - z*M
+    is scaled by its own D_v, the lcm of the denominators in the row and of
+    m_v (a fraction-free elimination in the sense of Bareiss, Math. Comp.
+    22, 1968).  That multiplies the determinant by prod D and the submatrix
+    determinant by prod_{v >= 1} D_v, so each becomes a Poly once, with the
+    one rational scale that divides these out.
     """
     e = L.entries
     n = L.dim
     if n == 0:
         raise InvariantViolation("an empty pencil has no row 0")
-    nbrs = [[j for j in range(n) if j != i and (e[i][j] or e[j][i])] for i in range(n)]
+    # nbrs[i][j] = L[i][j] for each neighbour j of i: zero where only L[j][i] is not
+    nbrs = [{} for _ in range(n)]
+    den = [_ilcm(e[v][v].denominator, mass_diag[v].denominator) for v in range(n)]
+    for i, j, c in L.pattern:
+        nbrs[i][j] = c
+        nbrs[j].setdefault(i, 0)
+        den[i] = _ilcm(den[i], c.denominator)
     parent = [None] * n
     order = []  # preorder: every vertex after its parent
     for root in range(n):
@@ -113,18 +140,29 @@ def pencil_det(L, mass_diag):
                 parent[c] = v
                 stack.append(c)
     # p[v], q[v] fold in v's children one at a time; final once v is reached
-    p = [Poly([e[v][v], -mass_diag[v]]) for v in range(n)]
-    q = [ONE] * n
-    others = ONE  # the P of every root but 0
+    p = [[_scaled(e[v][v], den[v]), -_scaled(mass_diag[v], den[v])] for v in range(n)]
+    q = [[1]] * n
+    others = [1]  # the P of every root but 0
     for c in reversed(order):
         v = parent[c]
         if v < 0:
             if c > 0:
-                others = others * p[c]
+                others = _convolve(others, p[c])
             continue
-        p[v] = p[v] * p[c] - (q[c] * q[v]).scale(e[v][c] * e[c][v])
-        q[v] = q[v] * p[c]
-    return p[0] * others, q[0] * others
+        pv = _convolve(p[v], p[c])
+        if k := _scaled(nbrs[v][c], den[v]) * _scaled(nbrs[c][v], den[c]):
+            for i, x in enumerate(_convolve(q[c], q[v])):
+                pv[i] -= k * x
+        p[v] = pv
+        q[v] = _convolve(q[v], p[c])
+    total = prod(den)
+    return (Poly.from_ints(_convolve(p[0], others), total),
+            Poly.from_ints(_convolve(q[0], others), total // den[0]))
+
+
+def _scaled(x, d):
+    """d*x, an integer, for a rational x whose denominator divides d."""
+    return x.numerator * (d // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -159,7 +197,8 @@ def interlacing_certificate(L, mass_diag):
     """
     full, sub = pencil_det(L, mass_diag)
     n = L.dim
-    if L.entries == tuple(zip(*L.entries)) and all(m > 0 for m in mass_diag):
+    e = L.entries
+    if all(e[j][i] == c for i, j, c in L.pattern) and all(m > 0 for m in mass_diag):
         if (full.degree, sub.degree) != (n, n - 1):
             raise InvariantViolation(f"pencil determinants have degrees {full.degree} and "
                                      f"{sub.degree}, expected {n} and {n - 1}")

@@ -64,6 +64,12 @@ class Poly:
         return Poly([c])
 
     @staticmethod
+    def from_ints(ints, den):
+        """The polynomial ints/den for a list of integers, lowest degree
+        first, and a positive integer den."""
+        return _new(1, den, ints)
+
+    @staticmethod
     def from_linear_roots(roots):
         """Product of (z - r) over the given rationals."""
         # z - p/q = (q*z - p)/q
@@ -155,13 +161,8 @@ class Poly:
         a, b = self._ints, other._ints
         if not a or not b:
             return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
         # primitive times primitive is primitive
-        return _canonical(self._scale * other._scale, tuple(out))
+        return _canonical(self._scale * other._scale, tuple(_convolve(a, b)))
 
     def scale(self, c):
         c = _coerce(c)
@@ -291,6 +292,17 @@ def _value(coeffs, p, q):
         qpow *= q
         acc = acc * p + coeffs[i] * qpow
     return acc
+
+
+def _convolve(a, b):
+    """The product of two nonempty integer coefficient lists, lowest degree
+    first, as a list."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 def _linear_product(factors):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from starstring.errors import InvariantViolation, PlanInfeasible
+from starstring.errors import InvariantViolation, PlanInfeasible, StarStringError
 from starstring.forward import center_quotient, char_polys, edge_cauer_polys, spectrum_of
 from starstring.inverse_center import (
     build_psi,
@@ -249,3 +249,43 @@ def test_every_plan_realizes_the_spectra(rng):
             assert realizes(rec.graph, spectra)
             plans += 1
     assert plans > 1000
+
+
+def _break_one(spectra, q, code):
+    """``spectra``, valid for q edges, with the one validate_center
+    condition ``code`` broken and every other one kept."""
+    lam, zet = dict(spectra.neumann_sq), dict(spectra.dirichlet_sq)
+    if code == "count":
+        # Neumann values above all others until #neumann = #dirichlet + 2
+        top = max(lam | zet)
+        for k in range(1, sum(zet.values()) + 3 - sum(lam.values())):
+            lam[top + k] = 1
+    elif code == "chain":
+        # the smallest Neumann value, always simple, moves just above the
+        # smallest Dirichlet value: lambda_1 < zeta_1 fails if that value is
+        # tied, and lambda_k <= zeta_k where it ends up otherwise
+        del lam[min(lam)]
+        low = min(zet)
+        lam[(low + min((v for v in lam if v > low), default=low + 2)) / 2] = 1
+    else:
+        # the largest Dirichlet value's tie pattern (m, m - 1) raised to
+        # (q + 1, q): both caps broken, the counts kept
+        top = max(zet)
+        zet[top], lam[top] = q + 1, q
+    return SpectrumPair(tuple(lam.items()), tuple(zet.items()))
+
+
+def test_broken_conditions_are_not_realized(rng):
+    """The converse for the centre root: seeded data with exactly one
+    validate_center condition broken is not realized; reconstruction
+    without validation raises or returns a graph of other spectra."""
+    for i in range(60):
+        spectra, lengths, q, _ = random_center_spectral_data(rng)
+        code = ("count", "chain", "multiplicity")[i % 3]
+        broken = _break_one(spectra, q, code)
+        assert {issue.code for issue in validate_center(broken, q).issues} == {code}
+        try:
+            rec = reconstruct_center(broken, lengths, validate=False)
+        except StarStringError:
+            continue
+        assert not realizes(rec.graph, broken), (code, broken, lengths)

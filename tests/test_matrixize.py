@@ -341,15 +341,45 @@ def _pencil_at(L, diag, x):
     return [[L.entries[i][j] - (x * diag[i] if i == j else 0) for j in range(n)] for i in range(n)]
 
 
+# 61-bit primes: length denominators (and numerators), mass denominators,
+# and one denominator that only a single diagonal entry carries
+WIDE_LENGTHS = tuple(2 ** 61 - k for k in (1, 31, 45))
+WIDE_MASSES = tuple(2 ** 61 - k for k in (229, 259))
+UNSHARED = 2 ** 61 - 283
+
+
+def _wide_pencils(rng):
+    """Star pencils whose lengths and masses have 61-bit prime denominators,
+    each also with one diagonal entry given a denominator no entry off the
+    diagonal shares."""
+    def length():
+        num, den = rng.sample(WIDE_LENGTHS, 2)
+        return F(num, den)
+
+    def mass():
+        return F(rng.randint(1, 10 ** 6), rng.choice(WIDE_MASSES))
+
+    for _ in range(4):
+        edges = [Edge(tuple(length() for _ in range(k + 1)), tuple(mass() for _ in range(k)))
+                 for k in (rng.randint(1, 3) for _ in range(rng.randint(2, 3)))]
+        L, diag = build_pencil(StarGraph(Root.CENTER, mass(), tuple(edges)))
+        yield L, diag
+        rows = [list(row) for row in L.entries]
+        v = rng.randrange(L.dim)
+        rows[v][v] += F(rng.randint(1, 10 ** 6), UNSHARED)
+        yield RationalMatrix(tuple(map(tuple, rows))), diag
+
+
 def test_pencil_det_matches_dense_determinant(rng):
     """Both determinants on star pencils, on their principal submatrices (a
-    forest of several chains), and on pencils whose vertex 0 is isolated."""
+    forest of several chains), on pencils whose vertex 0 is isolated, and
+    on star pencils with wide, unshared denominators."""
     points = (F(0), F(1), F(-3, 2), F(7, 5), F(40))
     graphs = [random_center_graph(rng, q_max=5, max_masses=3, mass_choices=(1, F(3, 2)))
               for _ in range(10)]
     graphs += [duplicated_edge_center_graph(rng, copies=3, mass_choices=(1, 2)) for _ in range(5)]
     assert any(e.mass_count == 0 for g in graphs for e in g.edges)
-    pencils = []
+    pencils = list(_wide_pencils(rng))
     forests = 0
     for g in graphs:
         L, diag = build_pencil(g)
@@ -391,3 +421,37 @@ def test_pencil_det_rejects_cyclic_pattern():
     cycle = RationalMatrix(((F(2), F(-1), F(-1)), (F(-1), F(2), F(-1)), (F(-1), F(-1), F(2))))
     with pytest.raises(InvariantViolation):
         pencil_det(cycle, (F(1), F(1), F(1)))
+
+
+def test_zero_mirror_entry_takes_the_general_path(certificate_calls):
+    """A pencil asymmetric only through a zero mirror entry, L[0][1] != 0 =
+    L[1][0] or its transpose, is not certified by the theorem: both
+    determinants are isolated and compared, and the verdict is the
+    remainder-sequence oracle's."""
+    upper = ((F(3), F(-1), F(0)), (F(0), F(2), F(-1)), (F(0), F(-1), F(2)))
+    diag = (F(1), F(2), F(1))
+    for rows in (upper, tuple(zip(*upper))):
+        L = RationalMatrix(rows)
+        certificate_calls["isolated"].clear()
+        cert = interlacing_certificate(L, diag)
+        full, sub = pencil_det(L, diag)
+        assert certificate_calls["isolated"] == [full, sub]
+        assert cert.ok == sequence_certifies(full, sub)
+
+
+def test_pencil_det_runs_in_integers(monkeypatch):
+    """The elimination of a 16-mass star pencil adds and multiplies integer
+    vectors: it calls neither Poly.__mul__ nor Poly.__add__."""
+    chain = Edge((F(1, 2), F(2, 3), F(1), F(3, 4), F(1), F(2)), (F(1), F(2, 5), F(3), F(1), F(1, 7)))
+    graph = StarGraph(Root.CENTER, F(5, 3), (chain, chain, chain))
+    L, diag = build_pencil(graph)
+    assert L.dim == 16
+    calls = []
+    for name in ("__mul__", "__add__"):
+        real = getattr(Poly, name)
+        monkeypatch.setattr(Poly, name, lambda a, b, real=real, name=name: calls.append(name) or real(a, b))
+    full, sub = pencil_det(L, diag)
+    monkeypatch.undo()
+    assert calls == []
+    phi_n, phi_d = char_polys(graph)
+    assert (full.monic(), sub.monic()) == (phi_n.monic(), phi_d.monic())
