@@ -83,11 +83,15 @@ def _remove_stale(args):
     except any file this run read."""
     if args.out is None:
         return
+    unwritten = (_out_path(args.out, suffix) for suffix in ("", *_SIBLINGS.get(args.command, ()))
+                 if suffix not in args.written)
+    stale = [path for path in unwritten if os.path.lexists(path)]
+    if not stale:  # the usual case: no input path needs resolving
+        return
     names = (getattr(args, k, None) for k in ("graph", "spectra", "plan"))
     inputs = {Path(name).resolve() for name in names if name}
-    for suffix in ("", *_SIBLINGS.get(args.command, ())):
-        path = _out_path(args.out, suffix)
-        if suffix not in args.written and path.resolve() not in inputs:
+    for path in stale:
+        if path.resolve() not in inputs:
             path.unlink(missing_ok=True)
 
 

@@ -21,23 +21,35 @@ from .poly import Poly, _convolve
 from .rational import format_rational
 from .roots import isolate_real_roots
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class RationalMatrix:
+    """A square matrix of Fractions, stored dense in ``entries`` and, off the
+    diagonal, sparse in ``pattern``.
+
+    Given rows alone, every entry is converted to a Fraction (those that
+    are one already are kept) and all n^2 are scanned for the pattern.  A
+    caller that wrote the entries itself, as ``build_pencil`` does, passes
+    Fraction rows with their pattern, and neither is read again.
+    """
+
     entries: tuple  # tuple of row tuples, square
     # (i, j, entries[i][j]) for each nonzero entry off the diagonal, row by row
-    pattern: tuple = field(init=False, repr=False, compare=False)
+    pattern: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row)
-                     for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+        rows = self.entries
+        if self.pattern is None:
+            rows = tuple(tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row)
+                         for row in rows)
+            object.__setattr__(self, "entries", rows)
+            object.__setattr__(self, "pattern", tuple(
+                (i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if c and i != j))
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise InvariantViolation("matrix must be square")
-        pattern = tuple((i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row)
-                        if c and i != j)
-        object.__setattr__(self, "pattern", pattern)
 
     @property
     def dim(self):
@@ -68,20 +80,24 @@ def build_pencil(graph):
     for e in graph.edges:
         diag.extend(e.masses)
     n = len(diag)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[_ZERO] * n for _ in range(n)]
+    off = [[] for _ in range(n)]  # (j, L[i][j]) off the diagonal of row i, j ascending
     pos = 1
     for e in graph.edges:
         w = [1 / l for l in e.lengths]  # the spring constants, centre outward
         rows[0][0] += w[0]
-        k = e.mass_count
-        if k:
-            rows[0][pos] = rows[pos][0] = -w[0]
-        for i in range(k):
-            rows[pos + i][pos + i] = w[i] + w[i + 1]
-            if i + 1 < k:
-                rows[pos + i][pos + i + 1] = rows[pos + i + 1][pos + i] = -w[i + 1]
-        pos += k
-    return RationalMatrix(tuple(tuple(r) for r in rows)), tuple(diag)
+        prev = 0  # the chain walks outward from the centre, so prev < v
+        for i, v in enumerate(range(pos, pos + e.mass_count)):
+            rows[v][v] = w[i] + w[i + 1]
+            c = -w[i]
+            off[prev].append((v, c))
+            off[v].append((prev, c))
+            prev = v
+        pos += e.mass_count
+    pattern = tuple((i, j, c) for i, row in enumerate(off) for j, c in row)
+    for i, j, c in pattern:
+        rows[i][j] = c
+    return RationalMatrix(tuple(map(tuple, rows)), pattern), tuple(diag)
 
 
 def pencil_det(L, mass_diag):

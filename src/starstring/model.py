@@ -27,7 +27,10 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import InvariantViolation, SchemaError
-from .rational import format_rational, parse_rational
+from .rational import as_fractions, format_rational, parse_rational
+
+# the C string escaper json.dumps itself uses (ensure_ascii)
+_quote = json.encoder.encode_basestring_ascii
 
 
 class Root(Enum):
@@ -43,15 +46,16 @@ class Edge:
     masses: tuple
 
     def __post_init__(self):
-        lengths = tuple(Fraction(x) for x in self.lengths)
-        masses = tuple(Fraction(x) for x in self.masses)
+        lengths = as_fractions(self.lengths)
+        masses = as_fractions(self.masses)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "masses", masses)
         if len(lengths) != len(masses) + 1:
             raise InvariantViolation(
                 f"edge needs one more interval than masses, got {len(lengths)} vs {len(masses)}"
             )
-        if any(x <= 0 for x in lengths) or any(x <= 0 for x in masses):
+        # a Fraction's sign is its numerator's: no comparison with 0 to convert
+        if any(x.numerator <= 0 for x in lengths) or any(x.numerator <= 0 for x in masses):
             raise InvariantViolation("edge intervals and masses must be positive")
 
     @property
@@ -90,7 +94,8 @@ class StarGraph:
     main_edge: Edge | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "central_mass", Fraction(self.central_mass))
+        if type(self.central_mass) is not Fraction:
+            object.__setattr__(self, "central_mass", Fraction(self.central_mass))
         object.__setattr__(self, "edges", tuple(self.edges))
         if self.central_mass < 0:
             raise InvariantViolation("central mass must be >= 0")
@@ -191,7 +196,7 @@ class SpectrumPair:
 def _canonical_multiset(entries, name):
     merged = {}
     for value, mult in entries:
-        v = Fraction(value)
+        v = value if type(value) is Fraction else Fraction(value)
         if v <= 0:
             raise InvariantViolation(
                 f"{name}: squared eigenvalues must be positive, got {format_rational(v)}")
@@ -300,7 +305,62 @@ class ReconstructionPlan:
 
 
 def _dump(obj):
-    return (json.dumps(obj, indent=2) + "\n").encode()
+    """The bytes of ``json.dumps(obj, indent=2) + "\n"``, written directly.
+
+    ``obj`` is built of dicts with string keys, lists, tuples, strings,
+    ints, bools and None; anything else raises TypeError, as ``json`` does
+    for an object it cannot serialize.  With ``indent`` set, ``json.dumps``
+    runs its pure-Python encoder; this writer appends each piece to one
+    list, escapes strings with the encoder's own C function, and writes a
+    list of strings with one join.
+    """
+    out = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out).encode()
+
+
+def _write_json(obj, newline, out):
+    """Append the indent-2 JSON text of ``obj``, nested after ``newline``."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:  # a list of strings, in one join
+            out.append(f"[{inner}{(',' + inner).join(map(_quote, obj))}{newline}]")
+            return
+        except TypeError:  # _quote takes strings only: item by item
+            pass
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(f"{sep}{_quote(key)}: ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _load(data, context):

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import BadShape, DivisionByZero, InvariantViolation, NotStieltjes
 from .poly import ONE, Poly, ZERO, poly_extended_gcd, poly_gcd
-from .rational import format_rational
+from .rational import as_fractions, format_rational
 from .roots import isolate_real_roots
 
 
@@ -125,8 +125,8 @@ class StieltjesCF:
     b: tuple
 
     def __post_init__(self):
-        a = tuple(Fraction(x) for x in self.a)
-        b = tuple(Fraction(x) for x in self.b)
+        a = as_fractions(self.a)
+        b = as_fractions(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if len(a) != len(b) + 1:

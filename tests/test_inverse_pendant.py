@@ -6,7 +6,7 @@ from itertools import accumulate, combinations
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from starstring.errors import InvariantViolation, MainTooLong
+from starstring.errors import InvariantViolation, MainTooLong, StarStringError
 from starstring.forward import char_polys, pendant_quotient, spectrum_of
 from starstring.inverse_pendant import (
     build_phi,
@@ -361,3 +361,54 @@ def test_every_subgraph_plan_realizes_the_spectra():
         assert realizes(rec.graph, TIED_SUBGRAPH_SPECTRA)
         graphs.add(rec.graph)
     assert len(graphs) == 18
+
+
+def _break_one_pendant(spectra, q, code):
+    """Strictly interlacing simple ``spectra`` for q edges, with the one
+    validate_pendant condition ``code`` broken and every other one kept."""
+    mu, lam = [v for v, _ in spectra.neumann_sq], [v for v, _ in spectra.dirichlet_sq]
+    neumann, dirichlet = dict(spectra.neumann_sq), dict(spectra.dirichlet_sq)
+    if code == "count":
+        neumann[lam[-1] + 1] = 1
+    elif code == "chain":
+        # mu_1 moves between lambda_1 and the next value: mu_1 < lambda_1 fails
+        del neumann[mu[0]]
+        neumann[(lam[0] + (mu[1] if len(mu) > 1 else lam[0] + 2)) / 2] = 1
+    elif code == "multiplicity":
+        # the two largest values raised to multiplicity q > q - 1, counts kept
+        neumann[mu[-1]] = dirichlet[lam[-1]] = q
+    else:
+        # lambda_1 becomes a shared value, mu_2 in the chain; with one pair a
+        # second Dirichlet value keeps the counts equal
+        if len(mu) > 1:
+            del neumann[mu[1]]
+        else:
+            dirichlet[lam[0] + 1] = 1
+        neumann[lam[0]] = 1
+    return SpectrumPair(tuple(neumann.items()), tuple(dirichlet.items()))
+
+
+def test_broken_conditions_are_not_realized(rng):
+    """The converse for the pendant root: seeded data with exactly one
+    validate_pendant condition broken is not realized; reconstruction
+    without validation raises or returns a graph of other spectra.  A
+    shared value needs q >= 3 (its multiplicity sum 2 exceeds the cap
+    2q - 3 of two strings), so a two-string instance drawn for the tail
+    condition is not broken."""
+    broken_by = dict.fromkeys(("count", "chain", "multiplicity", "tail"), 0)
+    for i in range(80):
+        spectra, main_length, lengths = random_pendant_spectral_data(rng)
+        q = len(lengths) + 1
+        code = list(broken_by)[i % 4]
+        if code == "tail" and q == 2:
+            continue
+        broken = _break_one_pendant(spectra, q, code)
+        report = validate_pendant(broken, main_length, lengths)
+        assert {issue.code for issue in report.issues} == {code}
+        broken_by[code] += 1
+        try:
+            rec = reconstruct_pendant(broken, main_length, lengths, validate=False)
+        except StarStringError:
+            continue
+        assert not realizes(rec.graph, broken), (code, broken, main_length, lengths)
+    assert min(broken_by.values()) >= 10, broken_by

@@ -123,6 +123,17 @@ def test_pencil_random_graphs(rng):
         assert sub.monic() == phi_d.monic()
 
 
+def test_build_pencil_records_the_scanned_pattern(rng):
+    """The pattern build_pencil writes is the one a scan of its rows finds,
+    in the same row-major order, and every entry is a Fraction."""
+    for _ in range(15):
+        g = random_center_graph(rng, q_max=4, max_masses=3, mass_choices=(1, 2, F(1, 2)))
+        L, _ = build_pencil(g)
+        scanned = RationalMatrix(L.entries)
+        assert scanned == L and scanned.pattern == L.pattern
+        assert all(type(c) is F for row in L.entries for c in row)
+
+
 def test_interlacing_certificate(rng):
     g = StarGraph(Root.CENTER, F(1), (BEAD, BEAD))
     L, diag = build_pencil(g)

@@ -13,6 +13,7 @@ from starstring.model import (
     Root,
     SpectrumPair,
     StarGraph,
+    _dump,
     parse_graph,
     parse_plan,
     parse_spectra,
@@ -142,6 +143,76 @@ def test_decimal_exponent_is_bounded():
     assert parse_rational("1e" + "0" * 5000 + "3") == 1000
     assert parse_rational("1e1000") == 10 ** MAX_DECIMAL_EXPONENT
     assert parse_rational("-25e-1") == F(-5, 2)
+
+
+def test_exponent_bound_keeps_its_messages():
+    """The bound is on the exponent's value: leading zeros do not count."""
+    assert parse_rational("1e1000") == parse_rational("1e0001000") == 10 ** 1000
+    with pytest.raises(SchemaError) as err:
+        parse_rational("1e1001", "x")
+    assert str(err.value) == "x: decimal exponent beyond +-1000: '1e1001'"
+
+
+def test_parse_rational_reads_fractions_grammar():
+    """On random strings over the grammar's characters, parse_rational and
+    Fraction accept the same strings with the same values, except that only
+    parse_rational bounds the exponent."""
+    rng = random.Random(24)
+    alphabet = "0123456789_/.eE+- "
+    accepted = 0
+    for _ in range(300_000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(1, 8)))
+        try:
+            got = parse_rational(text, "x")
+        except SchemaError as exc:
+            if "exponent" in str(exc):
+                continue
+            assert str(exc) == f"x: not a rational number: {text!r}"
+            with pytest.raises((ValueError, ZeroDivisionError)):
+                F(text)
+        else:
+            assert got == F(text), text
+            accepted += 1
+    assert accepted > 10_000
+
+
+def _text(rng):
+    """A short string of ASCII, escaped, control, non-ASCII and astral characters."""
+    return "".join(rng.choices("az\"\\/\n\t\x00\x1f\x7f\u00e9\u2028\ufeff\U0001f600",
+                               k=rng.randint(0, 6)))
+
+
+def _json_value(rng, depth):
+    """A random value of the writer's domain, nested at most ``depth`` deep."""
+    kind = rng.randrange(8 if depth else 4)
+    if kind == 0:
+        return _text(rng)
+    if kind == 1:
+        return rng.choice([rng.randint(-3, 3), rng.randint(-2 ** 200, 2 ** 200)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:  # as the CLI writes them: a list of rational strings
+        return [format_rational(F(rng.randint(-99, 99), rng.randint(1, 99)))
+                for _ in range(rng.randint(0, 4))]
+    items = [_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind == 4:
+        return {_text(rng): value for value in items}
+    if kind == 5:
+        return tuple(items)
+    return items
+
+
+def test_dump_writes_the_bytes_of_json_dumps():
+    rng = random.Random(2)
+    for _ in range(2000):
+        obj = _json_value(rng, 4)
+        assert _dump(obj) == (json.dumps(obj, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("obj", [1.5, {1: "a"}, [{"a": {1, 2}}], b"x"])
+def test_dump_refuses_what_it_does_not_write(obj):
+    with pytest.raises(TypeError):
+        _dump(obj)
 
 
 def test_rationals_of_any_length_round_trip():

@@ -165,3 +165,15 @@ def test_every_export_is_used():
     for path in paths:
         used |= _loaded_names(ast.parse(path.read_text(encoding="utf-8"), str(path)), stems)
     assert exported and sorted(exported - used) == []
+
+
+def test_one_indented_json_writer():
+    """Every output file goes through ``model._dump``: no module calls
+    ``json.dump``/``json.dumps`` with ``indent`` (or any other option),
+    and the one call there is, the compact error line, is in ``cli.py``."""
+    calls = []
+    for path in sorted(Path(starstring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("dump", "dumps"):
+                calls.append((path.name, len(node.args), sorted(k.arg for k in node.keywords)))
+    assert calls == [("cli.py", 1, [])]
