@@ -89,14 +89,12 @@ def build_pencil(graph):
         prev = 0  # the chain walks outward from the centre, so prev < v
         for i, v in enumerate(range(pos, pos + e.mass_count)):
             rows[v][v] = w[i] + w[i + 1]
-            c = -w[i]
+            c = rows[prev][v] = rows[v][prev] = -w[i]
             off[prev].append((v, c))
             off[v].append((prev, c))
             prev = v
         pos += e.mass_count
     pattern = tuple((i, j, c) for i, row in enumerate(off) for j, c in row)
-    for i, j, c in pattern:
-        rows[i][j] = c
     return RationalMatrix(tuple(map(tuple, rows)), pattern), tuple(diag)
 
 
