@@ -283,6 +283,10 @@ def _cmd_validate(args):
     lengths = _parse_lengths(args.lengths)
     if args.root == "center":
         report = ic.validate_center(spectra, len(lengths))
+        if len(lengths) < 2:
+            # the realizer refuses a single centre string whatever the spectra
+            issues = (ic.Issue("count", ic.FEW_LENGTHS), *report.issues)
+            report = ic.ValidationReport(False, issues, report.central_mass_positive)
     else:
         report = ip.validate_pendant(spectra, _pendant_main_length(args), lengths)
     _write(args, "", _dump(report.to_json()))

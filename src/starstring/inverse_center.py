@@ -26,9 +26,11 @@ from .poly import Poly
 from .rational import format_rational
 from .ratfun import (
     RationalFunction,
-    cf_expand,
     partial_fractions_at,
     split_proper_by_factors,
+    _cf_peel,
+    _int_form,
+    _plus_constant,
     _pole_sum,
     _polynomial_part,
 )
@@ -86,6 +88,9 @@ def _chain_issues(lower, upper, lo_name, up_name):
                 f"({', '.join(format_rational(x) for x in (upper[k - 1], lower[k], upper[k]))})",
             ))
     return issues
+
+
+FEW_LENGTHS = "need at least two string lengths"
 
 
 def validate_center(spectra, q):
@@ -246,11 +251,15 @@ class CenterReconstruction:
 
 def _edge_from_summand(num, den, length):
     """Expand the reciprocal of the per-edge summand num/den plus its
-    constant into intervals and masses; num/den is coprime with den monic."""
-    b_j = Fraction(1) / Fraction(length) - num.eval(0) / den.eval(0)
-    cf = cf_expand(RationalFunction.from_coprime(den, num + den.scale(b_j)))
+    constant into intervals and masses; num/den is coprime with den monic.
+    The sum and its reciprocal are formed in integers (``_int_form``)."""
+    length = Fraction(length)
+    n, d, u, v = _int_form(num, den)
+    b_j = 1 / length - (Fraction(u * n[0], v * d[0]) if n else 0)
+    e, w = _plus_constant(n, d, u, v, b_j)
+    cf = _cf_peel(d, e, w, 1)[0]
     edge = Edge(cf.a, cf.b)
-    if edge.total_length != Fraction(length):
+    if edge.total_length != length:
         raise InvariantViolation("reconstructed lengths do not sum")
     return edge
 
@@ -289,7 +298,7 @@ def _realize(pf, cluster, occurrences, lengths, plan):
 def reconstruct_center(spectra, lengths, plan=None, validate=True):
     """Recover a centre-rooted star graph realizing the given spectra."""
     if len(lengths) < 2:
-        raise InvariantViolation("need at least two string lengths")
+        raise InvariantViolation(FEW_LENGTHS)
     if validate:
         report = validate_center(spectra, len(lengths))
         if not report.valid:

@@ -37,6 +37,8 @@ from .ratfun import (
     StieltjesCF,
     partial_fractions,
     _cf_peel,
+    _int_form,
+    _plus_constant,
     _polynomial_part,
 )
 from .rational import format_rational
@@ -75,7 +77,7 @@ def decompose_main_from_quotient(phi, main_length, common_zeros=()):
     tail is the expansion's remainder at the cut with the tail constant t
     put back: (num + t*den)/den for the pair (num, den) left there.
     """
-    cf, rests = _cf_peel(phi)
+    cf, rests = _cf_peel(*_int_form(phi.num, phi.den))
     total = sum(cf.a, Fraction(0))
     main_length = Fraction(main_length)
     if main_length >= total:
@@ -93,8 +95,9 @@ def decompose_main_from_quotient(phi, main_length, common_zeros=()):
     main = Edge(tuple(lengths), cf.b[:cut])
     if cut == cf.depth and tail_constant <= 0:
         raise InvariantViolation("tail of the full expansion must keep a constant")
-    num, den = rests[cut]
-    tail = RationalFunction.from_coprime(num + den.scale(tail_constant), den)
+    n, d, u, v = rests[cut]
+    e, w = _plus_constant(n, d, u, v, tail_constant)
+    tail = RationalFunction.from_coprime(Poly.from_ints(e, w), Poly.from_ints(d, 1))
     return MainEdgeDecomposition(
         main, cut, tail_constant, tail, cf, total, tuple(common_zeros)
     )

@@ -211,22 +211,6 @@ class Poly:
             raise DivisionByZero("inexact polynomial division")
         return q
 
-    def cancel_lead(self, other):
-        """(c, self - c*z**k*other) with c = lc(self)/lc(other) and
-        k = deg self - deg other >= 0: one division step, which drops the
-        degree.  In integers it is lc(b)*a - lc(a)*z**k*b, both leading
-        coefficients divided by their gcd, and one content gcd."""
-        a, b = self._ints, other._ints
-        k = len(a) - len(b)
-        g = _igcd(a[-1], b[-1])
-        x, y = b[-1] // g, a[-1] // g
-        out = [x * c for c in a]
-        for j, c in enumerate(b):
-            out[k + j] -= y * c
-        s, t = self._scale, other._scale
-        c = Fraction(s.numerator * t.denominator * y, s.denominator * t.numerator * x)
-        return c, _new(s.numerator, s.denominator * x, out)
-
     def derivative(self):
         s = self._scale
         return _new(s.numerator, s.denominator, [i * c for i, c in enumerate(self._ints)][1:])

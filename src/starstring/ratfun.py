@@ -15,12 +15,21 @@ folds the coefficients into that recurrence; ``cf_expand`` runs it
 backwards, peeling one ladder step per level off the numerator and
 denominator.  It doubles as the S0 certificate: any positivity or
 degree-pattern failure along the way proves the input was not S0.
+
+The peel (``_cf_peel``) and the pole sum (``_pole_sum``) run on integer
+coefficient vectors, with the rational factor between numerator and
+denominator kept as two integers: a peel is one cross-multiplication by
+the two leading coefficients and one content gcd, and a Fraction is made
+only for each emitted coefficient.  A ``Poly`` is made only where a
+result leaves them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd as _igcd, lcm as _ilcm
 
 from .errors import BadShape, DivisionByZero, InvariantViolation, NotStieltjes
 from .poly import ONE, Poly, ZERO, poly_extended_gcd, poly_gcd
@@ -154,28 +163,75 @@ def cf_expand(f):
     off num/den: the constant a = lc(num)/lc(den), or 0 when deg den is one
     higher, leaves num - a*den; the slope s = lc(den)/lc(num) of the simple
     pole at infinity of the reciprocal leaves den - s*z*num, and b = -s.
-    Both peels are ``Poly.cancel_lead``, one integer step each.
+    The peels run on integer vectors (``_cf_peel``).
     For an edge's driving-point function the a_k are its interval lengths
     and the b_k its masses.  Positivity of every peeled coefficient
     certifies the S0 property; any violation raises NotStieltjes.
     """
-    return _cf_peel(f)[0]
+    return _cf_peel(*_int_form(f.num, f.den))[0]
 
 
-def _cf_peel(f):
-    """``cf_expand``'s loop: (cf, rests), rests[k] the pair (num, den) left
-    once a_k is peeled, f_k - a_k for f_k = a_k + 1/(-b_{k+1}*z + 1/f_{k+1});
-    each peel has determinant 1, so every pair is as coprime as f's."""
-    if f.is_zero:
+def _int_form(num, den):
+    """(n, d, u, v) with num/den = (u/v) * n/d for the primitive integer
+    vectors n, d of the polynomials num and nonzero den, and v > 0."""
+    n, d = num.primitive_int(), den.primitive_int()
+    if not n:
+        return n, d, 0, 1
+    w = num.lc * d[-1] / (den.lc * n[-1])
+    return n, d, w.numerator, w.denominator
+
+
+def _plus_constant(n, d, u, v, c):
+    """(e, w) with (u/v) * n/d + c = e/(w*d) for a rational c: e is an
+    integer vector with a nonzero last entry (empty for 0), and w > 0."""
+    s, t = c.numerator, c.denominator
+    e = [t * u * x + s * v * y for x, y in zip_longest(n, d, fillvalue=0)]
+    while e and not e[-1]:
+        e.pop()
+    return e, v * t
+
+
+def _reduced(p, q):
+    """p/q in lowest terms with a positive denominator, as two integers."""
+    g = _igcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
+
+
+def _content(r):
+    """(c, r/c) for the content c of the integer list r, whose trailing
+    zeros it drops: (0, []) when r is zero."""
+    while r and not r[-1]:
+        r.pop()
+    c = _igcd(*r)
+    return c, r if c == 1 else [x // c for x in r]
+
+
+def _cf_peel(n, d, u, v):
+    """``cf_expand``'s loop on f = (u/v) * n/d, for integer vectors n, d
+    (lowest degree first, nonzero last entries, n empty for f = 0) and an
+    integer v > 0: (cf, rests), rests[k] the state (n, d, u, v) of
+    f_k - a_k for f_k = a_k + 1/(-b_{k+1}*z + 1/f_{k+1}).
+
+    The constant peel, with lc(n)/lc(d) = y/x in lowest terms and x > 0,
+    leaves (u/(v*x)) * (x*n - y*d)/d; the mass peel, with lc(d)/lc(n) =
+    y/x, leaves f_{k+1} = (u*x/v) * n/(x*d - y*z*n).  The new member is
+    divided by its content, which u/v takes up.  Each peel has
+    determinant 1 up to a constant, so every pair is as coprime as f's.
+    """
+    if not n:
         raise NotStieltjes("the zero function is not S0")
-    num, den = f.num, f.den
     a = []
     b = []
     rests = []
     while True:
-        dn, dd = num.degree, den.degree
+        dn, dd = len(n) - 1, len(d) - 1
         if dn == dd:
-            const, num = num.cancel_lead(den)
+            y, x = _reduced(n[-1], d[-1])
+            const = Fraction(u * y, v * x)
+            c, n = _content([x * p - y * q for p, q in zip(n, d)])
+            u, v = _reduced(u * c, v * x)
         elif dn == dd - 1:
             const = Fraction(0)
         else:
@@ -185,18 +241,21 @@ def _cf_peel(f):
         if const < 0:
             raise NotStieltjes(f"negative limit at infinity: {format_rational(const)}")
         a.append(const)
-        rests.append((num, den))
-        if num.is_zero:
+        rests.append((n, d, u, v))
+        if not n:
             break
-        if num.degree != dd - 1:
+        if len(n) != dd:
             raise NotStieltjes("unexpected cancellation while extracting a constant")
-        slope, den = den.cancel_lead(num)
+        y, x = _reduced(d[-1], n[-1])
+        slope = Fraction(v * y, u * x)
         if slope >= 0:
             raise NotStieltjes(
                 f"nonpositive mass coefficient b_{len(b) + 1} = {format_rational(-slope)}")
         b.append(-slope)
-        if den.is_zero:
+        c, d = _content([x * p - y * q for p, q in zip(d, [0, *n])])
+        if not d:
             raise NotStieltjes("continued fraction terminated inside a linear level")
+        u, v = u * x, v * c
     return StieltjesCF(tuple(a), tuple(b)), rests
 
 
@@ -255,12 +314,20 @@ def _polynomial_part(f):
 
 def _pole_sum(terms):
     """(n, d) with n/d = sum r/(z - v) over ``terms`` ((v, r), ...) with
-    distinct v and nonzero r: d is monic, and the pair is coprime."""
-    n, d = ZERO, ONE
+    distinct v and nonzero r: d is monic, and the pair is coprime.
+
+    For v = p/q and r = s/t, r/(z - v) = (T/t)*s*q / (T*(q*z - p)) with
+    T the lcm of the t, so the sum folds on integer vectors over the one
+    denominator T*lc(Q), Q the product of the q*z - p."""
+    T = _ilcm(*(r.denominator for _, r in terms))
+    n, d = [], [1]
     for v, r in terms:
-        lin = Poly([-v, 1])
-        n, d = n * lin + d.scale(r), d * lin
-    return n, d
+        p, q = v.numerator, v.denominator
+        w = T // r.denominator * r.numerator * q
+        # times q*z - p: entry i is q*c[i-1] - p*c[i]
+        n = [q * x - p * y + w * c for x, y, c in zip([0, *n], [*n, 0], d)]
+        d = [q * x - p * y for x, y in zip([0, *d], [*d, 0])]
+    return Poly.from_ints(n, T * d[-1]), Poly.from_ints(d, d[-1])
 
 
 def _residues(proper, poles):

@@ -763,6 +763,22 @@ def test_single_string_report_prints_rationals(tmp_path):
     assert "single-string data must interlace strictly, shared [10/3, 6]" in messages
 
 
+def test_single_centre_length_is_refused_by_every_command(tmp_path, capsys):
+    """Data valid for one string still needs a second string for a star:
+    validate reports what inverse-center and verify-roundtrip refuse."""
+    spectra = write(tmp_path / "s.json", ONE_STRING)
+    report = tmp_path / "r.json"
+    assert main(["validate", "--spectra", spectra, "--lengths", "1", "--out", str(report)]) == 2
+    issues = json.loads(report.read_text())["issues"]
+    assert issues == [{"code": "count", "message": "need at least two string lengths"}]
+    for cmd in ("inverse-center", "verify-roundtrip"):
+        out = tmp_path / f"{cmd}.json"
+        assert main([cmd, "--spectra", spectra, "--lengths", "1", "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "E_INVARIANT", "message": issues[0]["message"]}
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("plan", [{"partition": [[0]]}, {"residue_split": {"20": ["1/2", "1/2"]}}])
 def test_user_plan_on_irrational_subgraph_poles_is_refused(tmp_path, capsys, plan):
     spectra = write(tmp_path / "s.json", MIXED_SPECTRA)
@@ -941,11 +957,15 @@ def test_two_string_pendant_follows_a_feasible_plan(tmp_path):
 NO_DIRICHLET = {"neumann_squared": [{"value": v} for v in ("1", "2", "3")], "dirichlet_squared": []}
 NO_SPECTRA = {"neumann_squared": [], "dirichlet_squared": []}
 BARE_EDGE = {"lengths": ["1"], "masses": []}
+# strictly interlacing: valid data for one string, refused for a star
+ONE_STRING = {"neumann_squared": [{"value": v} for v in ("1", "3")], "dirichlet_squared": [{"value": "2"}]}
 
 
 @pytest.mark.parametrize("argv, files, status, code, message", [
     (["validate", "--spectra", "s.json", "--lengths", "1,1"], {"s.json": NO_DIRICHLET},
      2, "count", "need #neumann = #dirichlet or #dirichlet + 1, got 3 vs 0"),
+    (["validate", "--spectra", "s.json", "--lengths", "1"], {"s.json": ONE_STRING},
+     2, "count", "need at least two string lengths"),
     (["inverse-center", "--spectra", "s.json", "--lengths", "2,1", "--plan", "p.json"],
      {"s.json": EX_SPECTRA, "p.json": {"partition": [[0], [0]]}},
      2, "E_PLAN_INFEASIBLE", "value 2 needs 2 edges, partition gives 1"),
@@ -970,7 +990,7 @@ BARE_EDGE = {"lengths": ["1"], "masses": []}
     (["inverse-center", "--spectra", "s.json", "--lengths", "2,1", "--plan", "p.json"],
      {"s.json": EX_SPECTRA, "p.json": {"residue_split": []}},
      1, "E_SCHEMA", "plan.residue_split: expected object"),
-], ids=["count", "partition-edges", "share-count", "no-pair", "edges-not-array",
+], ids=["count", "one-length", "partition-edges", "share-count", "no-pair", "edges-not-array",
         "pendant-without-main", "center-with-main", "plan-not-object",
         "partition-not-array", "split-not-object"])
 def test_each_error_branch_reports_its_code(tmp_path, capsys, argv, files, status, code, message):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starstring.errors import BadShape, InvariantViolation, NotStieltjes
-from starstring.inverse_center import build_psi
+from starstring.inverse_center import _edge_from_summand, build_psi
 from starstring.inverse_pendant import build_phi
 from starstring.model import SpectrumPair
 from starstring.poly import ONE, Poly
@@ -19,6 +19,8 @@ from starstring.ratfun import (
     PartialFractions,
     RationalFunction,
     StieltjesCF,
+    _cf_peel,
+    _int_form,
     _pole_sum,
     cf_expand,
     cf_to_ratfun,
@@ -26,6 +28,7 @@ from starstring.ratfun import (
     partial_fractions_at,
     split_proper_by_factors,
 )
+from starstring.rational import format_rational
 from starstring.roots import isolate_real_roots
 from tests.conftest import occurrences
 from tests.structure_checks import rf_sum
@@ -493,3 +496,154 @@ def test_pickle_and_copy_round_trip(pair):
         assert (g.num, g.den) == (f.num, f.den)
         with pytest.raises(AttributeError):
             g.num = ONE
+
+
+# ---------------------------------------------------------------------------
+# the integer peel and pole sum against Fraction references
+
+P61 = 2 ** 61 - 1  # a Mersenne prime
+
+
+def _trim(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_peel(num, den):
+    """``cf_expand``'s loop on rational coefficient lists, one Fraction
+    per coefficient: ((a, b), rests) with rests[k] the pair (num, den)
+    left once a_k is peeled, or the NotStieltjes message."""
+    num, den = list(num), list(den)
+    if not num:
+        return "the zero function is not S0"
+    a, b, rests = [], [], []
+    while True:
+        dn, dd = len(num) - 1, len(den) - 1
+        if dn == dd:
+            const = num[-1] / den[-1]
+            num = _trim([x - const * y for x, y in zip(num, den)])
+        elif dn == dd - 1:
+            const = F(0)
+        else:
+            return f"degree pattern ({dn}, {dd}) is not S0"
+        if a and const <= 0:
+            return f"nonpositive constant a_{len(a)} = {format_rational(const)}"
+        if const < 0:
+            return f"negative limit at infinity: {format_rational(const)}"
+        a.append(const)
+        rests.append((num, den))
+        if not num:
+            return (tuple(a), tuple(b)), rests
+        if len(num) != dd:
+            return "unexpected cancellation while extracting a constant"
+        slope = den[-1] / num[-1]
+        if slope >= 0:
+            return f"nonpositive mass coefficient b_{len(b) + 1} = {format_rational(-slope)}"
+        b.append(-slope)
+        den = _trim([x - slope * y for x, y in zip(den, [0, *num])])
+        if not den:
+            return "continued fraction terminated inside a linear level"
+
+
+def fold(a, b):
+    """a0 + 1/(-b1*z + 1/(a1 + ...)) as a reduced function, with no check on
+    the coefficients; with len(a) == len(b) it ends in the level -bp*z."""
+    even, odd = (Poly.constant(a[-1]), ONE) if len(a) > len(b) else (ONE, Poly())
+    for mass, length in zip(reversed(b), reversed(a[:len(b)])):
+        odd = Poly([0, -mass]) * even + odd
+        even = odd.scale(length) + even
+    return RationalFunction(even, odd)
+
+
+def peel_cases(rng, count):
+    """(f, broken) pairs: S0 functions folded from random coefficients,
+    many over the 61-bit prime P61, each followed by its perturbations."""
+    def coeff():
+        if rng.random() < 0.3:
+            return F(rng.randint(1, P61), P61)
+        return F(rng.randint(1, 9), rng.choice((1, 2, 3, P61)))
+
+    for _ in range(count):
+        p = rng.randint(0, 6)
+        a = [F(0) if p and rng.random() < 0.4 else coeff()] + [coeff() for _ in range(p)]
+        b = [coeff() for _ in range(p)]
+        f = cf_to_ratfun(StieltjesCF(tuple(a), tuple(b)))
+        yield f, False
+        yield RationalFunction(f.num.scale(-1), f.den), True
+        yield RationalFunction(f.num * P(0, 0, 1), f.den), True
+        yield fold(a, b + [coeff()]), True  # ends inside a linear level
+        if p:
+            k = rng.randint(1, p)
+            # a zero a_k would only merge two levels
+            yield fold(a[:k] + [-coeff()] + a[k + 1:], b), True
+            yield fold(a, b[:k - 1] + [-coeff()] + b[k:]), True
+        if f.den.degree >= 2:
+            # f's denominator plus a constant over it: 1 - c/den drops two degrees
+            yield RationalFunction(f.den + Poly.constant(coeff()), f.den), True
+    yield RationalFunction.constant(0), True
+
+
+def test_integer_peel_matches_fraction_peel(rng):
+    """The integer ``_cf_peel`` emits the Fraction peel's expansion and
+    leaves the same remainder at every cut, or fails with its message."""
+    seen = set()
+    for f, broken in peel_cases(rng, 150):
+        ref = ref_peel(f.num.coeffs, f.den.coeffs)
+        try:
+            cf, rests = _cf_peel(*_int_form(f.num, f.den))
+        except NotStieltjes as exc:
+            assert str(exc) == ref
+            seen.add(" ".join(ref.split()[:2]))
+            continue
+        assert not broken
+        (ref_a, ref_b), ref_rests = ref
+        assert (cf.a, cf.b) == (ref_a, ref_b)
+        assert len(rests) == len(ref_rests)
+        for (n, d, u, v), (rn, rd) in zip(rests, ref_rests):
+            assert v > 0 and d and d[-1] and (not n or n[-1])
+            num, den = Poly.from_ints([u * c for c in n], v), Poly.from_ints(d, 1)
+            assert num * Poly(rd) == Poly(rn) * den
+    assert seen == {
+        "the zero", "degree pattern", "nonpositive constant", "negative limit",
+        "unexpected cancellation", "nonpositive mass", "continued fraction",
+    }
+
+
+def test_pole_sum_matches_fraction_fold(rng):
+    """``_pole_sum``'s integer fold equals sum r/(z - v) folded in
+    Fractions, on poles and residues of either sign over large primes."""
+    primes = (P61, 2 ** 31 - 1, 1_000_003, 7)
+    for _ in range(200):
+        poles = set()
+        while len(poles) < rng.randint(0, 7):
+            poles.add(F(rng.randint(-P61, P61), rng.choice(primes)))
+        terms = [(v, F(rng.choice((-1, 1)) * rng.randint(1, P61), rng.choice(primes)))
+                 for v in sorted(poles)]
+        n, d = [], [F(1)]
+        for v, r in terms:
+            n = [x - v * y + r * c for x, y, c in zip([0, *n], [*n, 0], d)]
+            d = [x - v * y for x, y in zip([0, *d], [*d, 0])]
+        got = _pole_sum(terms)
+        assert (got[0].coeffs, got[1].coeffs) == (tuple(_trim(n)), tuple(d))
+
+
+def test_centre_realizer_runs_in_integers(monkeypatch):
+    """The expansion, the pole sum and each edge's reciprocal run on
+    integer vectors: no Poly sum, product or scaling, and no
+    RationalFunction on the way to the peel."""
+    terms = ((F(1, 3), F(2, 5)), (F(2), F(7, 4)), (F(9, 2), F(1, 6)))
+    n, d = _pole_sum(terms)
+    calls = []
+    for owner, name in ((Poly, "__add__"), (Poly, "__mul__"), (Poly, "scale"),
+                        (RationalFunction, "from_coprime")):
+        real = owner.__dict__[name]
+        fn = real.__func__ if isinstance(real, staticmethod) else real
+        counted = (lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        monkeypatch.setattr(owner, name, staticmethod(counted) if isinstance(real, staticmethod) else counted)
+    cf = cf_expand(EXAMPLE_F)
+    _pole_sum(terms)
+    edge = _edge_from_summand(n, d, F(7, 2))
+    monkeypatch.undo()
+    assert calls == []
+    assert cf == EXAMPLE_CF and edge.total_length == F(7, 2) and edge.mass_count == 3
