@@ -4,6 +4,7 @@ graphs of Stieltjes strings."""
 from .errors import (
     BadShape,
     DivisionByZero,
+    InvalidSpectra,
     InvariantViolation,
     IrrationalPole,
     MainTooLong,

@@ -28,7 +28,7 @@ from . import inverse_center as ic
 from . import inverse_pendant as ip
 from . import matrixize as mx
 from .errors import (
-    InvariantViolation, PlanInfeasible, RangeError, SchemaError, StarStringError,
+    InvalidSpectra, InvariantViolation, PlanInfeasible, RangeError, SchemaError, StarStringError,
 )
 from .model import (
     Root,
@@ -234,11 +234,11 @@ def _cmd_inverse_center(args):
     spectra = parse_spectra(_read(args.spectra, "spectra"))
     lengths = _parse_lengths(args.lengths)
     plan = parse_plan(_read(args.plan, "plan")) if args.plan else None
-    report = ic.validate_center(spectra, len(lengths))
-    if not report.valid:
-        _write(args, ".report", _dump(report.to_json()))
+    try:
+        rec = ic.reconstruct_center(spectra, lengths, plan)
+    except InvalidSpectra as exc:
+        _write(args, ".report", _dump(exc.report.to_json()))
         return 2
-    rec = ic.reconstruct_center(spectra, lengths, plan, validate=False)
     _write(args, "", serialize_graph(rec.graph))
     _write(args, ".plan", _dump(_plan_json(rec.plan_used)))
     if args.enumerate:
@@ -251,11 +251,11 @@ def _cmd_inverse_pendant(args):
     lengths = _parse_lengths(args.lengths)
     main_length = _parse_length(args.main_length, "--main-length")
     plan = parse_plan(_read(args.plan, "plan")) if args.plan else None
-    report = ip.validate_pendant(spectra, main_length, lengths)
-    if not report.valid:
-        _write(args, ".report", _dump(report.to_json()))
+    try:
+        rec = ip.reconstruct_pendant(spectra, main_length, lengths, plan)
+    except InvalidSpectra as exc:
+        _write(args, ".report", _dump(exc.report.to_json()))
         return 2
-    rec = ip.reconstruct_pendant(spectra, main_length, lengths, plan, validate=False)
     _write(args, "", serialize_graph(rec.graph))
     details = {
         "gamma": format_rational(rec.decomposition.gamma),

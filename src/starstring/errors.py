@@ -45,6 +45,18 @@ class InvariantViolation(StarStringError):
     code = "E_INVARIANT"
 
 
+class InvalidSpectra(InvariantViolation):
+    """Spectral data that fails the solvability conditions; ``report`` is
+    the failing validation report, and the message joins its issues."""
+
+    def __init__(self, report):
+        super().__init__("; ".join(i.message for i in report.issues))
+        self.report = report
+
+    def __reduce__(self):
+        return InvalidSpectra, (self.report,)
+
+
 class PlanInfeasible(StarStringError):
     code = "E_PLAN_INFEASIBLE"
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import InvariantViolation, IrrationalPole, PlanInfeasible
+from .errors import InvalidSpectra, InvariantViolation, IrrationalPole, PlanInfeasible
 from .model import Edge, ReconstructionPlan, Root, StarGraph
 from .poly import Poly
 from .rational import format_rational
@@ -295,16 +295,14 @@ def _realize(pf, cluster, occurrences, lengths, plan):
     return edges, used
 
 
-def reconstruct_center(spectra, lengths, plan=None, validate=True):
-    """Recover a centre-rooted star graph realizing the given spectra."""
+def reconstruct_center(spectra, lengths, plan=None):
+    """Recover a centre-rooted star graph realizing the given spectra; data
+    that fails ``validate_center`` raises InvalidSpectra with the report."""
     if len(lengths) < 2:
         raise InvariantViolation(FEW_LENGTHS)
-    if validate:
-        report = validate_center(spectra, len(lengths))
-        if not report.valid:
-            raise InvariantViolation(
-                "; ".join(i.message for i in report.issues) or "invalid spectral data"
-            )
+    report = validate_center(spectra, len(lengths))
+    if not report.valid:
+        raise InvalidSpectra(report)
     psi = build_psi(spectra, lengths)
     pf, cluster = partial_fractions_at(psi, [v for v, _ in spectra.dirichlet_sq])
     edges, used = _realize(pf, cluster, spectra.dirichlet_sq, lengths, plan)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolation, MainTooLong, NotStieltjes
+from .errors import InvalidSpectra, InvariantViolation, MainTooLong, NotStieltjes
 from .inverse_center import (
     Issue,
     ValidationReport,
@@ -171,16 +171,12 @@ def _subgraph_edges(psi_sub, lengths, common_zeros, plan):
     """(central mass, edges, plan used) of the q-1 edge subgraph.
 
     One string with no plan needs no split: its summand is the quotient's
-    proper part.  Anything else goes to the centre realizer.
+    proper part (``validate_pendant`` leaves it no shared value).  Anything
+    else goes to the centre realizer.
     """
-    if len(lengths) == 1:
-        # shared spectral values are impossible here (their multiplicities
-        # would have to sum to <= 1)
-        if common_zeros:
-            raise NotStieltjes("a two-string graph admits no shared eigenvalues")
-        if plan is None:
-            a0, _, proper = _polynomial_part(psi_sub)
-            return a0, [_edge_from_summand(proper.num, proper.den, lengths[0])], None
+    if len(lengths) == 1 and plan is None:
+        a0, _, proper = _polynomial_part(psi_sub)
+        return a0, [_edge_from_summand(proper.num, proper.den, lengths[0])], None
     pf, cluster = partial_fractions(psi_sub)
     common = dict(common_zeros)
     occurrences = tuple((v, 1 + common.get(v, 0)) for v, _ in pf.terms)
@@ -188,14 +184,12 @@ def _subgraph_edges(psi_sub, lengths, common_zeros, plan):
     return pf.linear_coeff, edges, used
 
 
-def reconstruct_pendant(spectra, main_length, lengths, plan=None, validate=True):
-    """Recover a pendant-rooted star graph realizing the given spectra."""
-    if validate:
-        report = validate_pendant(spectra, main_length, lengths)
-        if not report.valid:
-            raise InvariantViolation(
-                "; ".join(i.message for i in report.issues) or "invalid spectral data"
-            )
+def reconstruct_pendant(spectra, main_length, lengths, plan=None):
+    """Recover a pendant-rooted star graph realizing the given spectra; data
+    that fails ``validate_pendant`` raises InvalidSpectra with the report."""
+    report = validate_pendant(spectra, main_length, lengths)
+    if not report.valid:
+        raise InvalidSpectra(report)
     dec = decompose_main(spectra, main_length, lengths)
     psi_sub = dec.tail.inverse()
     if psi_sub.eval(Fraction(0)) != _sum_reciprocal(lengths):

@@ -11,7 +11,7 @@ mass-normalized matrix keeps every entry rational; the spectra agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm as _ilcm, prod
 
@@ -21,45 +21,38 @@ from .poly import Poly, _convolve
 from .rational import format_rational
 from .roots import isolate_real_roots
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """A square matrix of Fractions, stored dense in ``entries`` and, off the
-    diagonal, sparse in ``pattern``.
+    """A square matrix of Fractions: its ``diagonal`` and, off the diagonal,
+    its nonzero ``pattern``.
 
-    Given rows alone, every entry is converted to a Fraction (those that
-    are one already are kept) and all n^2 are scanned for the pattern.  A
-    caller that wrote the entries itself, as ``build_pencil`` does, passes
-    Fraction rows with their pattern, and neither is read again.
+    ``pattern`` holds (i, j, L[i][j]) for every nonzero entry off the
+    diagonal, in strictly increasing (i, j) order, so equal values are equal
+    matrices; every entry it does not name off the diagonal is zero.
     """
 
-    entries: tuple  # tuple of row tuples, square
-    # (i, j, entries[i][j]) for each nonzero entry off the diagonal, row by row
-    pattern: tuple | None = field(default=None, repr=False, compare=False)
+    diagonal: tuple
+    pattern: tuple
 
     def __post_init__(self):
-        rows = self.entries
-        if self.pattern is None:
-            rows = tuple(tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row)
-                         for row in rows)
-            object.__setattr__(self, "entries", rows)
-            object.__setattr__(self, "pattern", tuple(
-                (i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if c and i != j))
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise InvariantViolation("matrix must be square")
+        n = len(self.diagonal)
+        last = (-1, -1)
+        for i, j, c in self.pattern:
+            if not (c and i != j and 0 <= i < n and 0 <= j < n and (i, j) > last):
+                raise InvariantViolation(f"pattern entry ({i}, {j}) must be nonzero, off the "
+                                         "diagonal, in range and after the entry before it")
+            last = (i, j)
 
     @property
     def dim(self):
-        return len(self.entries)
+        return len(self.diagonal)
 
     def to_json(self):
         n = self.dim
         out = [["0"] * n for _ in range(n)]
-        for i in range(n):
-            if c := self.entries[i][i]:
+        for i, c in enumerate(self.diagonal):
+            if c:
                 out[i][i] = format_rational(c)
         for i, j, c in self.pattern:
             out[i][j] = format_rational(c)
@@ -76,26 +69,21 @@ def build_pencil(graph):
         raise InvariantViolation("pencil is defined for centre-rooted graphs")
     if graph.central_mass <= 0:
         raise RequiresPositiveCentralMass("pencil needs a positive central mass")
-    diag = [graph.central_mass]
-    for e in graph.edges:
-        diag.extend(e.masses)
-    n = len(diag)
-    rows = [[_ZERO] * n for _ in range(n)]
-    off = [[] for _ in range(n)]  # (j, L[i][j]) off the diagonal of row i, j ascending
-    pos = 1
+    diag, stiff = [graph.central_mass], [Fraction(0)]  # M's and L's diagonals
+    off = [[]]  # (j, L[i][j]) off the diagonal of row i, j ascending
     for e in graph.edges:
         w = [1 / l for l in e.lengths]  # the spring constants, centre outward
-        rows[0][0] += w[0]
+        stiff[0] += w[0]
         prev = 0  # the chain walks outward from the centre, so prev < v
-        for i, v in enumerate(range(pos, pos + e.mass_count)):
-            rows[v][v] = w[i] + w[i + 1]
-            c = rows[prev][v] = rows[v][prev] = -w[i]
+        for i, m in enumerate(e.masses):
+            v, c = len(diag), -w[i]
+            diag.append(m)
+            stiff.append(w[i] + w[i + 1])
             off[prev].append((v, c))
-            off[v].append((prev, c))
+            off.append([(prev, c)])
             prev = v
-        pos += e.mass_count
     pattern = tuple((i, j, c) for i, row in enumerate(off) for j, c in row)
-    return RationalMatrix(tuple(map(tuple, rows)), pattern), tuple(diag)
+    return RationalMatrix(tuple(stiff), pattern), tuple(diag)
 
 
 def pencil_det(L, mass_diag):
@@ -125,13 +113,13 @@ def pencil_det(L, mass_diag):
     determinant by prod_{v >= 1} D_v, so each becomes a Poly once, with the
     one rational scale that divides these out.
     """
-    e = L.entries
+    d = L.diagonal
     n = L.dim
     if n == 0:
         raise InvariantViolation("an empty pencil has no row 0")
     # nbrs[i][j] = L[i][j] for each neighbour j of i: zero where only L[j][i] is not
     nbrs = [{} for _ in range(n)]
-    den = [_ilcm(e[v][v].denominator, mass_diag[v].denominator) for v in range(n)]
+    den = [_ilcm(d[v].denominator, mass_diag[v].denominator) for v in range(n)]
     for i, j, c in L.pattern:
         nbrs[i][j] = c
         nbrs[j].setdefault(i, 0)
@@ -154,7 +142,7 @@ def pencil_det(L, mass_diag):
                 parent[c] = v
                 stack.append(c)
     # p[v], q[v] fold in v's children one at a time; final once v is reached
-    p = [[_scaled(e[v][v], den[v]), -_scaled(mass_diag[v], den[v])] for v in range(n)]
+    p = [[_scaled(d[v], den[v]), -_scaled(mass_diag[v], den[v])] for v in range(n)]
     q = [[1]] * n
     others = [1]  # the P of every root but 0
     for c in reversed(order):
@@ -211,8 +199,8 @@ def interlacing_certificate(L, mass_diag):
     """
     full, sub = pencil_det(L, mass_diag)
     n = L.dim
-    e = L.entries
-    if all(e[j][i] == c for i, j, c in L.pattern) and all(m > 0 for m in mass_diag):
+    mirror = {(j, i): c for i, j, c in L.pattern}
+    if all(mirror.get((i, j)) == c for i, j, c in L.pattern) and all(m > 0 for m in mass_diag):
         if (full.degree, sub.degree) != (n, n - 1):
             raise InvariantViolation(f"pencil determinants have degrees {full.degree} and "
                                      f"{sub.degree}, expected {n} and {n - 1}")

@@ -8,6 +8,8 @@ the general gcd in ``RationalFunction.make``) as the independent check on
 ``forward.pendant_quotient``.  ``sequence_certifies`` proves two
 determinants interlaced by one signed remainder sequence, the independent
 check on the isolate-and-compare path of ``matrixize.interlacing_certificate``.
+``dense_rows`` and ``scanned_matrix`` convert between a ``RationalMatrix``
+and its n^2 entries, which only the tests need.
 """
 
 from dataclasses import dataclass, replace
@@ -22,6 +24,7 @@ from starstring.forward import (
     edge_cauer_polys,
     pendant_quotient,
 )
+from starstring.matrixize import RationalMatrix
 from starstring.model import ReconstructionPlan, Root
 from starstring.poly import ONE, ZERO, Poly, _sturm_sequence, poly_gcd, squarefree_factor
 from starstring.ratfun import RationalFunction, _ladder
@@ -250,6 +253,28 @@ def sequence_certifies(full, sub):
     g = seq[-1]
     roots = isolate_real_roots(Poly(g), None, None, classify_rational=False) if len(g) > 1 else ()
     return sum(m for _, m in roots) == len(g) - 1
+
+
+def dense_rows(L):
+    """The rows of a ``RationalMatrix`` as tuples of Fractions, zero
+    wherever neither its diagonal nor its pattern names an entry."""
+    n = L.dim
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, c in enumerate(L.diagonal):
+        rows[i][i] = c
+    for i, j, c in L.pattern:
+        rows[i][j] = c
+    return tuple(map(tuple, rows))
+
+
+def scanned_matrix(rows):
+    """The ``RationalMatrix`` of square rows: every entry made a Fraction and
+    all n^2 scanned for the nonzero pattern off the diagonal."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    return RationalMatrix(
+        tuple(row[i] for i, row in enumerate(rows)),
+        tuple((i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if c and i != j),
+    )
 
 
 # ---------------------------------------------------------------------------

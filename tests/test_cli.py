@@ -990,9 +990,17 @@ ONE_STRING = {"neumann_squared": [{"value": v} for v in ("1", "3")], "dirichlet_
     (["inverse-center", "--spectra", "s.json", "--lengths", "2,1", "--plan", "p.json"],
      {"s.json": EX_SPECTRA, "p.json": {"residue_split": []}},
      1, "E_SCHEMA", "plan.residue_split: expected object"),
+    (["validate", "--spectra", "s.json", "--lengths", "1,1"], {"s.json": []},
+     1, "E_SCHEMA", "spectra: expected object"),
+    (["validate", "--spectra", "s.json", "--lengths", "1,1"],
+     {"s.json": {"neumann_squared": [{"value": "1"}]}},
+     1, "E_SCHEMA", "spectra.dirichlet_squared: missing"),
+    (["forward", "--graph", "g.json"], {"g.json": {"root": "center", "edges": [{"lengths": ["1"]}]}},
+     1, "E_SCHEMA", "graph.edges[0]: missing field 'masses'"),
 ], ids=["count", "one-length", "partition-edges", "share-count", "no-pair", "edges-not-array",
         "pendant-without-main", "center-with-main", "plan-not-object",
-        "partition-not-array", "split-not-object"])
+        "partition-not-array", "split-not-object", "spectra-not-object", "no-dirichlet-field",
+        "edge-without-masses"])
 def test_each_error_branch_reports_its_code(tmp_path, capsys, argv, files, status, code, message):
     """An error is one stderr line; a validation failure is one issue in
     the report.  Either way the code, message and exit status are fixed."""

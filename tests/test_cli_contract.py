@@ -11,6 +11,9 @@ and an address-space limit, and checks:
   never E_INTERNAL (exit 1 always has one; exit 0 has none);
 - after exit 0 or 2 no stale file named after ``--out`` is left; after
   exit 1 none is removed; no input file is ever removed.
+
+Seeded data for either root, valid or with one condition broken, also
+checks that ``validate`` and the inverse commands give one verdict.
 """
 
 import copy
@@ -27,7 +30,8 @@ from pathlib import Path
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from starstring import cli, errors
-from starstring.model import ReconstructionPlan
+from starstring.inverse_center import FEW_LENGTHS
+from starstring.model import ReconstructionPlan, SpectrumPair
 from tests.conftest import (
     random_center_graph,
     random_center_spectral_data,
@@ -35,6 +39,8 @@ from tests.conftest import (
     random_pendant_spectral_data,
     rational,
 )
+from tests.test_inverse_center import _break_one
+from tests.test_inverse_pendant import _break_one_pendant
 
 # each subcommand's (required, optional) flags
 FLAGS = {
@@ -204,3 +210,74 @@ def test_every_run_keeps_the_cli_contract(case):
         else:
             assert [p.name for p in outputs if p.exists() and p.read_bytes() == STALE] == []
         assert all((tmp / name).exists() for name in files)
+
+
+def _run(argv):
+    """(exit status, stderr lines) of one ``cli.main`` run in this process."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        status = cli.main(argv)
+    return status, err.getvalue().splitlines()
+
+
+def _issue_codes(path):
+    return [issue["code"] for issue in json.loads(path.read_text())["issues"]]
+
+
+def _verdict_cases(rng):
+    """(root, spectra, lengths, main length) from the generators of
+    ``conftest``, valid or with one condition broken."""
+    for i in range(40):
+        spectra, lengths, q, _ = random_center_spectral_data(rng)
+        code = (None, "count", "chain", "multiplicity")[i % 4]
+        yield "center", spectra if code is None else _break_one(spectra, q, code), lengths, None
+        spectra, main_length, lengths = random_pendant_spectral_data(rng)
+        code = (None, "count", "chain", "multiplicity", "tail")[i % 5]
+        if code is not None:
+            spectra = _break_one_pendant(spectra, len(lengths) + 1, code)
+        yield "pendant", spectra, lengths, main_length
+
+
+def test_validate_and_the_inverse_commands_agree(rng, tmp_path):
+    """``validate`` exits 0 exactly when the inverse command for its root
+    does; otherwise the inverse command writes a ``.report`` with the same
+    issue codes and nothing on stderr."""
+    spectra_file, report, out = tmp_path / "s.json", tmp_path / "r.json", tmp_path / "g.json"
+    verdicts = dict.fromkeys([(root, ok) for root in ("center", "pendant") for ok in (True, False)], 0)
+    for root, spectra, lengths, main_length in _verdict_cases(rng):
+        spectra_file.write_text(json.dumps(spectra.to_json()))
+        data = ["--spectra", str(spectra_file), "--lengths", ",".join(map(str, lengths))]
+        if main_length is not None:
+            data += ["--main-length", str(main_length)]
+        status, _ = _run(["validate", "--root", root, *data, "--out", str(report)])
+        inverse, err = _run([f"inverse-{root}", *data, "--out", str(out)])
+        case = (root, spectra, lengths, main_length, err)
+        assert (status == 0) == (inverse == 0), case
+        if status:
+            assert (inverse, err) == (2, []), case
+            assert _issue_codes(out.with_name("g.report.json")) == _issue_codes(report), case
+        verdicts[root, status == 0] += 1
+    assert min(verdicts.values()) >= 5, verdicts
+
+
+def test_one_centre_length_is_refused_with_validates_first_issue(rng, tmp_path):
+    """With one centre length ``validate`` lists ``count`` first, and
+    ``inverse-center`` and ``verify-roundtrip --spectra`` print its message
+    as their one E_INVARIANT line, whether or not the data also fail the
+    single-string conditions (N = D = {10/3, 6} fails them), and write no
+    report."""
+    tied = SpectrumPair(((Fraction(10, 3), 1), (Fraction(6), 1)),
+                        ((Fraction(10, 3), 1), (Fraction(6), 1)))
+    spectra_file, out = tmp_path / "s.json", tmp_path / "g.json"
+    for spectra in [tied] + [random_center_spectral_data(rng)[0] for _ in range(5)]:
+        spectra_file.write_text(json.dumps(spectra.to_json()))
+        data = ["--spectra", str(spectra_file), "--lengths", "2", "--out", str(out)]
+        assert _run(["validate", "--root", "center", *data])[0] == 2
+        first = json.loads(out.read_text())["issues"][0]
+        assert first == {"code": "count", "message": FEW_LENGTHS}
+        out.unlink()
+        for command in ("inverse-center", "verify-roundtrip"):
+            status, err = _run([command, *data])
+            assert status == 2 and [json.loads(line) for line in err] == [
+                {"error": "E_INVARIANT", "message": FEW_LENGTHS}], (command, spectra, err)
+            assert sorted(tmp_path.iterdir()) == [spectra_file], command

@@ -1,12 +1,15 @@
 """Centre-root inverse: validation, quotient, plans, reconstruction."""
 
+import pickle
 from fractions import Fraction as F
 
 import pytest
 
-from starstring.errors import InvariantViolation, PlanInfeasible, StarStringError
+from starstring import inverse_center
+from starstring.errors import InvalidSpectra, InvariantViolation, PlanInfeasible, StarStringError
 from starstring.forward import center_quotient, char_polys, edge_cauer_polys, spectrum_of
 from starstring.inverse_center import (
+    ValidationReport,
     build_psi,
     enumerate_constraints,
     plan_partition,
@@ -15,13 +18,14 @@ from starstring.inverse_center import (
     validate_center,
 )
 from starstring.inverse_pendant import validate_pendant
-from starstring.model import ReconstructionPlan, SpectrumPair
+from starstring.model import Edge, ReconstructionPlan, Root, SpectrumPair, StarGraph
 from starstring.poly import Poly, poly_gcd
 from tests.conftest import random_center_graph, random_center_spectral_data
 from tests.structure_checks import every_plan, realizes
 
 EX_SPECTRA = SpectrumPair(((F(1), 1), (F(2), 1)), ((F(2), 2),))
 EX_LENGTHS = [F(2), F(1)]
+BEAD = Edge((F(1), F(1)), (F(1),))
 
 
 class TestValidate:
@@ -180,8 +184,13 @@ class TestReconstruct:
 
     def test_invalid_input_raises(self):
         bad = SpectrumPair(((F(1), 1),), ((F(1), 1),))
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvalidSpectra) as info:
             reconstruct_center(bad, [F(1), F(1)])
+        report = validate_center(bad, 2)
+        assert info.value.report == report and not report.valid
+        assert info.value.message == "; ".join(i.message for i in report.issues)
+        again = pickle.loads(pickle.dumps(info.value))
+        assert (type(again), again.report, again.message) == (InvalidSpectra, report, info.value.message)
 
     def test_single_string_requires_strict(self):
         # one string (the subgraph of a two-string pendant graph) admits no
@@ -191,7 +200,7 @@ class TestReconstruct:
         assert not report.valid
         assert any("interlace strictly" in i.message for i in report.issues)
         with pytest.raises(InvariantViolation):
-            reconstruct_center(shared, [F(1)], validate=False)
+            reconstruct_center(shared, [F(1)])
 
     def test_roundtrip_forward_induced(self, rng):
         # graph -> forward -> grouped reconstruct -> forward: same quotient,
@@ -212,6 +221,17 @@ class TestReconstruct:
             )
             assert rebuilt == g
             done += 1
+
+    def test_grouped_reconstruction_checks_its_factors_and_lengths(self):
+        g = StarGraph(Root.CENTER, F(1), (BEAD, Edge((F(2), F(1)), (F(3),))))
+        factors = [edge_cauer_polys(e)[0].monic() for e in g.edges]
+        lengths = [e.total_length for e in g.edges]
+        psi = center_quotient(g)[0].inverse()
+        assert reconstruct_center_grouped(psi, factors, lengths) == g
+        with pytest.raises(PlanInfeasible, match="one denominator factor per edge"):
+            reconstruct_center_grouped(psi, factors[:1], lengths)
+        with pytest.raises(InvariantViolation, match="does not match the given lengths"):
+            reconstruct_center_grouped(psi, factors, [lengths[0], lengths[1] + 1])
 
 
 class TestEnumerate:
@@ -244,7 +264,7 @@ def test_every_plan_realizes_the_spectra(rng):
         spectra, lengths, q, _ = random_center_spectral_data(rng)
         assert validate_center(spectra, q).valid
         for plan in every_plan(spectra.dirichlet_sq, q):
-            rec = reconstruct_center(spectra, lengths, plan, validate=False)
+            rec = reconstruct_center(spectra, lengths, plan)
             assert rec.plan_used.partition == plan.partition
             assert realizes(rec.graph, spectra)
             plans += 1
@@ -275,17 +295,20 @@ def _break_one(spectra, q, code):
     return SpectrumPair(tuple(lam.items()), tuple(zet.items()))
 
 
-def test_broken_conditions_are_not_realized(rng):
+def test_broken_conditions_are_not_realized(rng, monkeypatch):
     """The converse for the centre root: seeded data with exactly one
     validate_center condition broken is not realized; reconstruction
-    without validation raises or returns a graph of other spectra."""
+    with the validator stubbed out raises or returns a graph of other
+    spectra."""
+    monkeypatch.setattr(inverse_center, "validate_center",
+                        lambda spectra, q: ValidationReport(True, (), None))
     for i in range(60):
         spectra, lengths, q, _ = random_center_spectral_data(rng)
         code = ("count", "chain", "multiplicity")[i % 3]
         broken = _break_one(spectra, q, code)
         assert {issue.code for issue in validate_center(broken, q).issues} == {code}
         try:
-            rec = reconstruct_center(broken, lengths, validate=False)
+            rec = reconstruct_center(broken, lengths)
         except StarStringError:
             continue
         assert not realizes(rec.graph, broken), (code, broken, lengths)

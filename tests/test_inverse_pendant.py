@@ -6,8 +6,10 @@ from itertools import accumulate, combinations
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from starstring import inverse_pendant
 from starstring.errors import InvariantViolation, MainTooLong, StarStringError
 from starstring.forward import char_polys, pendant_quotient, spectrum_of
+from starstring.inverse_center import ValidationReport
 from starstring.inverse_pendant import (
     build_phi,
     decompose_main,
@@ -388,13 +390,15 @@ def _break_one_pendant(spectra, q, code):
     return SpectrumPair(tuple(neumann.items()), tuple(dirichlet.items()))
 
 
-def test_broken_conditions_are_not_realized(rng):
+def test_broken_conditions_are_not_realized(rng, monkeypatch):
     """The converse for the pendant root: seeded data with exactly one
     validate_pendant condition broken is not realized; reconstruction
-    without validation raises or returns a graph of other spectra.  A
-    shared value needs q >= 3 (its multiplicity sum 2 exceeds the cap
-    2q - 3 of two strings), so a two-string instance drawn for the tail
-    condition is not broken."""
+    with the validator stubbed out raises or returns a graph of other
+    spectra.  A shared value needs q >= 3 (its multiplicity sum 2 exceeds
+    the cap 2q - 3 of two strings), so a two-string instance drawn for the
+    tail condition is not broken."""
+    monkeypatch.setattr(inverse_pendant, "validate_pendant",
+                        lambda spectra, main_length, lengths: ValidationReport(True, (), None))
     broken_by = dict.fromkeys(("count", "chain", "multiplicity", "tail"), 0)
     for i in range(80):
         spectra, main_length, lengths = random_pendant_spectral_data(rng)
@@ -407,7 +411,7 @@ def test_broken_conditions_are_not_realized(rng):
         assert {issue.code for issue in report.issues} == {code}
         broken_by[code] += 1
         try:
-            rec = reconstruct_pendant(broken, main_length, lengths, validate=False)
+            rec = reconstruct_pendant(broken, main_length, lengths)
         except StarStringError:
             continue
         assert not realizes(rec.graph, broken), (code, broken, main_length, lengths)

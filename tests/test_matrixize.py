@@ -27,7 +27,7 @@ from tests.conftest import (
     increasing_rationals,
     random_center_graph,
 )
-from tests.structure_checks import sequence_certifies
+from tests.structure_checks import dense_rows, scanned_matrix, sequence_certifies
 
 BEAD = Edge((F(1), F(1)), (F(1),))
 
@@ -36,15 +36,39 @@ def test_massless_edges_collapse_to_center_row():
     g = StarGraph(Root.CENTER, F(1), (Edge((F(1),), ()), Edge((F(1),), ())))
     L, diag = build_pencil(g)
     assert L.dim == 1
-    assert L.entries == ((F(2),),)
+    assert dense_rows(L) == ((F(2),),)
     assert diag == (F(1),)
     full, _ = pencil_det(L, diag)
     assert full == Poly([F(2), F(-1)])
 
 
-def test_matrix_must_be_square():
-    with pytest.raises(InvariantViolation, match="square"):
-        RationalMatrix(((1, 2), (3,)))
+def test_matrix_is_its_diagonal_and_pattern(rng):
+    """Two matrices with the same JSON are equal and have the same
+    determinants; a pattern entry that is zero, on the diagonal, out of
+    range or out of order is refused."""
+    diag = (F(2), F(2))
+    coupled = RationalMatrix(diag, ((0, 1, F(-1)), (1, 0, F(-1))))
+    apart = RationalMatrix(diag, ())
+    assert coupled != apart and coupled.to_json() != apart.to_json()
+    assert pencil_det(coupled, (F(1), F(1))) != pencil_det(apart, (F(1), F(1)))
+    for _ in range(10):
+        g = random_center_graph(rng, q_max=4, max_masses=3, mass_choices=(1, 2, F(1, 2)))
+        L, masses = build_pencil(g)
+        read = scanned_matrix([[F(c) for c in row] for row in L.to_json()])
+        assert read == L and read.to_json() == L.to_json()
+        assert pencil_det(read, masses) == pencil_det(L, masses)
+    refused = {
+        "zero": ((0, 1, F(0)),),
+        "on the diagonal": ((1, 1, F(1)),),
+        "row out of range": ((2, 0, F(1)),),
+        "column out of range": ((0, 2, F(1)),),
+        "negative index": ((-1, 0, F(1)),),
+        "out of order": ((1, 0, F(1)), (0, 1, F(1))),
+        "repeated": ((0, 1, F(1)), (0, 1, F(1))),
+    }
+    for pattern in refused.values():
+        with pytest.raises(InvariantViolation, match="pattern entry"):
+            RationalMatrix(diag, pattern)
 
 
 def test_requires_positive_mass():
@@ -57,11 +81,12 @@ def test_three_by_three_structure():
     g = StarGraph(Root.CENTER, F(1), (BEAD, BEAD))
     L, diag = build_pencil(g)
     assert L.dim == 3
-    assert L.entries == tuple(zip(*L.entries))
+    rows = dense_rows(L)
+    assert rows == tuple(zip(*rows))
     assert diag == (F(1), F(1), F(1))
-    assert L.entries[0] == (F(2), F(-1), F(-1))
+    assert rows[0] == (F(2), F(-1), F(-1))
     # masses on different edges are not coupled
-    assert L.entries[1][2] == 0
+    assert rows[1][2] == 0
 
 
 def det_rational(rows):
@@ -116,7 +141,8 @@ def test_pencil_random_graphs(rng):
     for _ in range(15):
         g = random_center_graph(rng, q_max=4, max_masses=3, mass_choices=(1, 2, F(1, 2)))
         L, diag = build_pencil(g)
-        assert L.entries == tuple(zip(*L.entries))
+        rows = dense_rows(L)
+        assert rows == tuple(zip(*rows))
         phi_n, phi_d = char_polys(g)
         full, sub = pencil_det(L, diag)
         assert full.monic() == phi_n.monic()
@@ -129,9 +155,10 @@ def test_build_pencil_records_the_scanned_pattern(rng):
     for _ in range(15):
         g = random_center_graph(rng, q_max=4, max_masses=3, mass_choices=(1, 2, F(1, 2)))
         L, _ = build_pencil(g)
-        scanned = RationalMatrix(L.entries)
+        rows = dense_rows(L)
+        scanned = scanned_matrix(rows)
         assert scanned == L and scanned.pattern == L.pattern
-        assert all(type(c) is F for row in L.entries for c in row)
+        assert all(type(c) is F for row in rows for c in row)
 
 
 def test_interlacing_certificate(rng):
@@ -148,21 +175,21 @@ def test_interlacing_certificate(rng):
 
 def test_interlacing_certificate_failures():
     # det(L - z*I) = z^2 + 1 has no real root
-    rotation = RationalMatrix(((F(0), F(1)), (F(-1), F(0))))
+    rotation = scanned_matrix(((F(0), F(1)), (F(-1), F(0))))
     cert = interlacing_certificate(rotation, (F(1), F(1)))
     assert cert.to_json() == {
         "ok": False, "full_count": 0, "sub_count": 1,
         "failures": ["full pencil determinant has non-real roots"],
     }
     # an indefinite mass diagonal: the full roots are +-sqrt(3), mu_1 = -2 lies below both
-    cert = interlacing_certificate(RationalMatrix(((F(2), F(1)), (F(1), F(2)))), (F(1), F(-1)))
+    cert = interlacing_certificate(scanned_matrix(((F(2), F(1)), (F(1), F(2)))), (F(1), F(-1)))
     assert not cert.ok
     assert (cert.full_count, cert.sub_count, cert.failures) == (2, 1, ("mu_1 < lambda_1",))
 
 
 # a 1 x 1 pencil with a negative mass: not a star pencil, so its certificate
 # isolates and compares whatever determinants pencil_det gives
-NOT_A_STAR = (RationalMatrix(((F(1),),)), (F(-1),))
+NOT_A_STAR = (scanned_matrix(((F(1),),)), (F(-1),))
 
 
 def _general_certificate(monkeypatch, full, sub):
@@ -344,12 +371,13 @@ def test_json_shape():
     assert obj["dim"] == 3
     assert obj["M_diag"] == ["1", "1", "1"]
     assert obj["L"][0] == ["2", "-1", "-1"]
-    assert tuple(tuple(F(c) for c in row) for row in obj["L"]) == L.entries
+    assert tuple(tuple(F(c) for c in row) for row in obj["L"]) == dense_rows(L)
 
 
 def _pencil_at(L, diag, x):
     n = L.dim
-    return [[L.entries[i][j] - (x * diag[i] if i == j else 0) for j in range(n)] for i in range(n)]
+    rows = dense_rows(L)
+    return [[rows[i][j] - (x * diag[i] if i == j else 0) for j in range(n)] for i in range(n)]
 
 
 # 61-bit primes: length denominators (and numerators), mass denominators,
@@ -375,10 +403,10 @@ def _wide_pencils(rng):
                  for k in (rng.randint(1, 3) for _ in range(rng.randint(2, 3)))]
         L, diag = build_pencil(StarGraph(Root.CENTER, mass(), tuple(edges)))
         yield L, diag
-        rows = [list(row) for row in L.entries]
+        rows = [list(row) for row in dense_rows(L)]
         v = rng.randrange(L.dim)
         rows[v][v] += F(rng.randint(1, 10 ** 6), UNSHARED)
-        yield RationalMatrix(tuple(map(tuple, rows))), diag
+        yield scanned_matrix(rows), diag
 
 
 def test_pencil_det_matches_dense_determinant(rng):
@@ -395,12 +423,13 @@ def test_pencil_det_matches_dense_determinant(rng):
     for g in graphs:
         L, diag = build_pencil(g)
         pencils.append((L, diag))
+        rows = dense_rows(L)
         if L.dim > 1:
-            pencils.append((RationalMatrix(tuple(row[1:] for row in L.entries[1:])), diag[1:]))
+            pencils.append((scanned_matrix(tuple(row[1:] for row in rows[1:])), diag[1:]))
             # one chain per edge with masses, each coupled to the centre row
-            forests += sum(1 for c in L.entries[0][1:] if c) >= 2
-        isolated = ((F(3),) + (F(0),) * L.dim,) + tuple((F(0),) + row for row in L.entries)
-        pencils.append((RationalMatrix(isolated), (F(2),) + diag))
+            forests += sum(1 for c in rows[0][1:] if c) >= 2
+        isolated = ((F(3),) + (F(0),) * L.dim,) + tuple((F(0),) + row for row in rows)
+        pencils.append((scanned_matrix(isolated), (F(2),) + diag))
     assert forests >= 5
     for M, d in pencils:
         full, sub = pencil_det(M, d)
@@ -425,11 +454,11 @@ def test_interlacing_certificate_runs_one_elimination(monkeypatch):
 
 def test_pencil_det_refuses_an_empty_pencil():
     with pytest.raises(InvariantViolation):
-        pencil_det(RationalMatrix(()), ())
+        pencil_det(RationalMatrix((), ()), ())
 
 
 def test_pencil_det_rejects_cyclic_pattern():
-    cycle = RationalMatrix(((F(2), F(-1), F(-1)), (F(-1), F(2), F(-1)), (F(-1), F(-1), F(2))))
+    cycle = scanned_matrix(((F(2), F(-1), F(-1)), (F(-1), F(2), F(-1)), (F(-1), F(-1), F(2))))
     with pytest.raises(InvariantViolation):
         pencil_det(cycle, (F(1), F(1), F(1)))
 
@@ -442,7 +471,7 @@ def test_zero_mirror_entry_takes_the_general_path(certificate_calls):
     upper = ((F(3), F(-1), F(0)), (F(0), F(2), F(-1)), (F(0), F(-1), F(2)))
     diag = (F(1), F(2), F(1))
     for rows in (upper, tuple(zip(*upper))):
-        L = RationalMatrix(rows)
+        L = scanned_matrix(rows)
         certificate_calls["isolated"].clear()
         cert = interlacing_certificate(L, diag)
         full, sub = pencil_det(L, diag)

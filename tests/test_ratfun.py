@@ -10,7 +10,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starstring.errors import BadShape, InvariantViolation, NotStieltjes
+from starstring.errors import BadShape, DivisionByZero, InvariantViolation, NotStieltjes
 from starstring.inverse_center import _edge_from_summand, build_psi
 from starstring.inverse_pendant import build_phi
 from starstring.model import SpectrumPair
@@ -60,6 +60,14 @@ class TestNormalize:
         rf, cancelled = RationalFunction.make(P(-1, 1), P(-1, 1))
         assert rf == RationalFunction.constant(1)
         assert cancelled == P(-1, 1)
+
+    def test_division_by_zero_is_refused(self):
+        with pytest.raises(DivisionByZero, match="zero denominator"):
+            RationalFunction.make(P(1), P(0))
+        with pytest.raises(DivisionByZero, match="inverse of the zero function"):
+            RationalFunction.constant(0).inverse()
+        with pytest.raises(DivisionByZero, match="pole at 1/2"):
+            RationalFunction(P(1), P(F(-1, 2), 1)).eval(F(1, 2))
 
 
 def is_s0(f):
@@ -365,6 +373,13 @@ class TestGroupedSplit:
         f = RationalFunction(P(1), d * d)
         with pytest.raises(BadShape):
             split_proper_by_factors(f, [d, d])
+
+    def test_factors_must_multiply_to_the_denominator(self):
+        d1, d2 = P(-1, 1), P(-2, 1)
+        f = rf_sum(RationalFunction(P(1), d1), RationalFunction(P(2), d2))
+        for factors in ([d1], [d1, d2, P(-3, 1)], [d1, P(-3, 1)]):
+            with pytest.raises(BadShape, match="factors do not multiply to the denominator"):
+                split_proper_by_factors(RationalFunction(f.num, f.den), factors)
 
     def test_irrational_grouping(self):
         d1, d2 = P(-2, 0, 1), P(-3, 1)  # z^2-2 and z-3
