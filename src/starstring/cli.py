@@ -38,7 +38,7 @@ from .model import (
     parse_spectra,
     serialize_graph,
 )
-from .poly import ONE, Poly, poly_gcd
+from .poly import Poly
 from .rational import format_rational, parse_rational
 
 DEFAULT_REFINE_WIDTH = Fraction(1, 1 << 64)
@@ -72,9 +72,11 @@ def _write(args, suffix, data):
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:  # a path that cannot be written is a bad input
+        raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if os.path.lexists(tmp):
+            tmp.unlink()
     args.written.add(suffix)
 
 
@@ -295,19 +297,9 @@ def _cmd_validate(args):
 
 def _roundtrip_graph(graph):
     if graph.root is Root.CENTER:
-        quotient, _ = fwd.center_quotient(graph)
-        # a value shared by k edges is a pole of the reduced quotient once,
-        # so each edge keeps only what the earlier edges have not taken; an
-        # edge left with factor 1 comes back massless
-        factors, taken = [], ONE
-        for e in graph.edges:
-            f = fwd.edge_cauer_polys(e)[0].monic()
-            f = f.divexact(poly_gcd(f, taken))
-            factors.append(f)
-            taken = taken * f
+        quotient, parts = fwd.center_quotient(graph)  # an edge with part 1 comes back massless
         lengths = [e.total_length for e in graph.edges]
-        psi = quotient.inverse()
-        rebuilt = ic.reconstruct_center_grouped(psi, factors, lengths)
+        rebuilt = ic.reconstruct_center_grouped(quotient.inverse(), parts, lengths)
         # quotient is canonical and phi_N is nonzero, so cross-multiplying needs no gcd
         phi_n, phi_d = fwd.char_polys(rebuilt)
         return {

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 from .model import Root
-from .poly import ONE, ZERO, Poly
+from .poly import ONE, ZERO, Poly, poly_gcd
 from .ratfun import RationalFunction, _ladder
 from .roots import isolate_real_roots
 
@@ -76,14 +76,27 @@ def spectrum_of(p):
     return isolate_real_roots(p, Fraction(0), None)
 
 
+def _divide_shared(num, den, edges):
+    """(num/den in lowest terms, pairwise coprime parts) for a pair sharing only what
+    the edges share: part j is edge j's monic clamped polynomial less what 0..j-1 hold."""
+    parts, held, shared = [], ONE, ONE
+    for e in edges:
+        f = edge_cauer_polys(e)[0].monic()
+        g = poly_gcd(f, held)
+        parts.append(f.divexact(g))
+        held, shared = held * parts[-1], shared * g
+    return RationalFunction.from_coprime(num.divexact(shared), den.divexact(shared)), parts
+
+
 def center_quotient(graph):
-    """Canonical phi_D/phi_N with the cancelled common factor."""
+    """(phi_D/phi_N in lowest terms, the edges' parts).  A value k edges hold is
+    a simple pole of N/D with a positive residue sum, so a root of phi_N k - 1 times."""
     phi_n, phi_d = char_polys(graph)
-    return RationalFunction.make(phi_d, phi_n)
+    return _divide_shared(phi_d, phi_n, graph.edges)
 
 
 def pendant_quotient(graph):
-    """Canonical l0 * phi(clamped root)/phi(free root) with cancelled factor."""
+    """(l0 * phi(clamped root)/phi(free root) in lowest terms, the non-main edges'
+    parts).  Main-edge ladder steps have determinant 1: the same k - 1 rule holds."""
     phi_n, phi_d = char_polys(graph)
-    l0 = graph.main_edge.lengths[0]
-    return RationalFunction.make(phi_d.scale(l0), phi_n)
+    return _divide_shared(phi_d.scale(graph.main_edge.lengths[0]), phi_n, graph.edges)

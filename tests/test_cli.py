@@ -187,11 +187,23 @@ def test_roundtrip_center_graph(tmp_path, central_mass, edges):
 
 @pytest.mark.parametrize("central_mass, edges", CENTER_GRAPHS)
 def test_center_roundtrip_canonicalizes_one_quotient(tmp_path, canonical_calls, central_mass, edges):
-    """The rebuilt graph's polynomials are checked against the canonical
-    quotient by cross-multiplication, not canonicalized a second time."""
+    """The quotient is reduced by what the edges share, with no general
+    canonicalizer, and the rebuilt graph's polynomials are checked against
+    it by cross-multiplication, not canonicalized a second time."""
     graph = center_graph(tmp_path / "g.json", central_mass, edges)
     assert main(["verify-roundtrip", "--graph", graph, "--out", str(tmp_path / "v.json")]) == 0
-    assert canonical_calls["make"] == 1
+    assert canonical_calls["make"] == 0
+
+
+def test_pendant_roundtrip_calls_no_general_canonicalizer(tmp_path, canonical_calls):
+    # two non-main edges share the Dirichlet value 2
+    bead = {"lengths": ["1", "1"], "masses": ["1"]}
+    graph = write(tmp_path / "g.json", {"root": "pendant", "central_mass": "1",
+                                        "main_edge": bead, "edges": [bead, bead]})
+    out = tmp_path / "v.json"
+    assert main(["verify-roundtrip", "--graph", graph, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"] is True
+    assert canonical_calls["make"] == 0
 
 
 def test_center_roundtrip_fails_on_a_changed_mass(tmp_path, monkeypatch):
@@ -613,9 +625,34 @@ def test_a_failed_rename_leaves_no_temporary_file(tmp_path, capsys, monkeypatch)
     assert main(["forward", "--graph", graph, "--out", str(tmp_path / "s.json")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert [json.loads(line) for line in err] == [
-        {"error": "E_INTERNAL", "message": "OSError: rename refused"}
+        {"error": "E_SCHEMA", "message": f"cannot write {tmp_path / 's.json'}: rename refused"}
     ]
     assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+
+def test_an_out_path_in_a_missing_directory_is_a_bad_input(tmp_path, capsys):
+    graph = write(tmp_path / "g.json", EX_GRAPH)
+    out = tmp_path / "no" / "such" / "dir" / "o.json"
+    assert main(["forward", "--graph", graph, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in err] == [
+        {"error": "E_SCHEMA", "message": f"cannot write {out}: No such file or directory"}
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+
+def test_an_out_path_naming_a_directory_is_a_bad_input(tmp_path, capsys):
+    graph = write(tmp_path / "g.json", EX_GRAPH)
+    out = tmp_path / "o.json"
+    out.mkdir()
+    (out / "kept").write_text("")
+    assert main(["forward", "--graph", graph, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in err] == [
+        {"error": "E_SCHEMA", "message": f"cannot write {out}: Is a directory"}
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "o.json"]
+    assert [p.name for p in out.iterdir()] == ["kept"]
 
 
 def test_roundtrip_spectra_center_with_tied_value(tmp_path):

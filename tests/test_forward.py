@@ -266,3 +266,45 @@ class TestSpectralStructure:
 
         ok, _ = lagrange_check(Edge((F(5, 3),), ()))
         assert ok
+
+
+def _shared_factor_graphs(rng):
+    """Centre and pendant graphs, 50 of each generator, duplicated edges
+    at the generators' ranges, and a pendant graph whose main edge repeats
+    a non-main edge."""
+    makers = (
+        lambda: random_center_graph(rng),
+        lambda: random_pendant_graph(rng),
+        lambda: duplicated_edge_center_graph(rng, copies=rng.randint(2, 3), extra=rng.randint(0, 2)),
+        lambda: duplicated_edge_pendant_graph(rng, copies=rng.randint(2, 3), extra=rng.randint(0, 2)),
+    )
+    graphs = [make() for _ in range(50) for make in makers]
+    other = Edge((F(1, 2), F(3, 2)), (F(2),))
+    graphs.append(StarGraph(Root.PENDANT, F(1), (SINGLE_BEAD, other, other), SINGLE_BEAD))
+    return graphs
+
+
+def test_quotients_divide_out_exactly_what_the_edges_share(rng):
+    """Both quotients equal the general canonicalizer's, and the edges'
+    parts are pairwise coprime and multiply to the reduced denominator of
+    the joined pair (D, N): for a centre root, psi's denominator."""
+    from starstring.forward import _join, center_quotient, pendant_quotient
+    from starstring.poly import poly_gcd
+
+    shared_seen = 0
+    for g in _shared_factor_graphs(rng):
+        phi_n, phi_d = char_polys(g)
+        if g.root is Root.CENTER:
+            quotient, parts = center_quotient(g)
+            expect, shared = RationalFunction.make(phi_d, phi_n)
+            assert math.prod(parts, start=ONE) == quotient.inverse().den
+        else:
+            quotient, parts = pendant_quotient(g)
+            expect, shared = RationalFunction.make(phi_d.scale(g.main_edge.lengths[0]), phi_n)
+        assert quotient == expect
+        assert len(parts) == len(g.edges)
+        assert all(poly_gcd(p, q).degree == 0 for i, p in enumerate(parts) for q in parts[:i])
+        den, num = _join(g.edges)
+        assert math.prod(parts, start=ONE) == RationalFunction.make(num, den)[0].den
+        shared_seen += shared.degree > 0
+    assert shared_seen > 0, "duplicated edges must share a factor"
