@@ -22,10 +22,11 @@ per operation:
 scale (<= ~60), so the dense representation is the simple and sufficient
 choice.
 
-Gcds run on the integer vectors (``Poly.primitive_int``) through
-``_sturm_sequence``, the primitive signed pseudo-remainder sequence
+Gcds run on the integer vectors (``Poly.primitive_int``).  Euclid modulo
+one prime proves the common case, coprime inputs; a common factor is found
+by ``_sturm_sequence``, the primitive signed pseudo-remainder sequence
 (Collins 1967, Brown 1971) and the one remainder loop: its last member is
-the gcd (on (f, f') the Sturm chain, for ``squarefree_factor``).
+the gcd (on (f, f') the Sturm chain).
 """
 
 from __future__ import annotations
@@ -363,8 +364,40 @@ def _sturm_sequence(a, b):
     return seq
 
 
+# the prime of the coprimality proof: residues of 61 bits, and an unlucky
+# leading coefficient (one p divides) is rare
+_PRIME = (1 << 61) - 1
+
+
+def _gcd_degree_mod_p(a, b):
+    """Degree of gcd(a mod p, b mod p) over Z/p, p = ``_PRIME``, for a whose
+    leading coefficient p does not divide: Euclid with pseudo-remainders,
+    whose scalings by lc(b) change no degree and need no inverse."""
+    a, b = [c % _PRIME for c in a], [c % _PRIME for c in b]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        lcb, db = b[-1], len(b) - 1
+        while len(a) > db:
+            head, i = a.pop(), len(a) - db
+            a = [c * lcb % _PRIME for c in a[:i]] + [(c * lcb - head * y) % _PRIME for c, y in zip(a[i:], b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
 def _int_poly_gcd(a, b):
-    """Primitive gcd of integer polynomials, with a positive leading coefficient."""
+    """Primitive gcd of integer polynomials, with a positive leading coefficient.
+
+    Coprimality is proven modulo one prime p first (W. S. Brown, JACM 18(4),
+    1971): when p does not divide lc(a), the primitive gcd g keeps its degree
+    modulo p, since lc(g) divides lc(a), and g mod p divides both images; so a
+    constant gcd of the images makes g = 1.  Otherwise, on a zero input, or
+    for a common factor, ``_sturm_sequence`` finds the gcd.
+    """
+    if a and b and a[-1] % _PRIME and _gcd_degree_mod_p(a, b) == 0:
+        return [1]
     g = _sturm_sequence(a, b)[-1]
     return [1] if len(g) == 1 else _positive(g)
 

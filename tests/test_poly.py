@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from starstring.errors import DivisionByZero
 from starstring.poly import (
-    ONE, Poly, ZERO, _sturm_sequence, poly_extended_gcd, poly_gcd, squarefree_factor,
+    ONE, Poly, ZERO, _PRIME, _int_poly_gcd, _positive, _sturm_sequence, poly_extended_gcd, poly_gcd,
+    squarefree_factor,
 )
 
 
@@ -240,6 +241,55 @@ def _random_ints(rng, degree, bits):
         else:
             out = _int_mul(out, [-rng.randint(-60, 60), rng.randint(1, 9)])
     return out
+
+
+def _sequence_gcd(a, b):
+    """The gcd as the remainder sequence alone gives it."""
+    g = _sturm_sequence(a, b)[-1]
+    return [1] if len(g) == 1 else _positive(g)
+
+
+def test_gcd_modulo_a_prime_against_the_sequence():
+    """``_int_poly_gcd`` returns [1] from Euclid modulo p only when that is a
+    proof: p = 2**61 - 1 divides no leading coefficient of a.  Inputs with a
+    common factor, with p dividing a leading coefficient or one coefficient,
+    and zero inputs give what the remainder sequence gives."""
+    rng = random.Random(20261022)
+    # lc(a) = p: modulo p, a drops to z - 1 and b to z - 2, which are coprime,
+    # but p*z + 1 divides both
+    planted = [-1, _PRIME]
+    cases = [
+        (_int_mul([-1, 1], planted), _int_mul(planted, [-2, 1])),
+        (_int_mul(planted, [-2, 1]), _int_mul([-1, 1], planted)),
+        ([], [3, -1]), ([3, -1], []), ([], [5]), ([4], []), ([0], [1, 1]), ([1, 1], [0]),
+    ]
+    for _ in range(150):
+        a = _random_ints(rng, rng.randint(0, 6), rng.randint(8, 128))
+        b = _random_ints(rng, rng.randint(0, 6), rng.randint(8, 128))
+        kind = rng.randrange(5)
+        if kind == 0:
+            g = _random_ints(rng, rng.randint(1, 3), rng.randint(8, 64))
+            a, b = _int_mul(a, g), _int_mul(b, g)
+        elif kind == 1:
+            a[-1] *= _PRIME
+        elif kind == 2:
+            b[-1] *= _PRIME
+        elif kind == 3:
+            i = rng.randrange(len(a))
+            a[i] = _PRIME * rng.randint(-3, 3)
+            if not a[-1]:
+                a[-1] = _PRIME
+        else:
+            # a common factor whose leading coefficient p divides
+            g = [rng.randint(-9, 9), _PRIME * rng.randint(1, 3)]
+            a, b = _int_mul(a, g), _int_mul(b, g)
+        cases.append((a, b))
+    common = 0
+    for a, b in cases:
+        want = _sequence_gcd(a, b)
+        assert _int_poly_gcd(a, b) == want
+        common += len(want) > 1
+    assert common >= 50
 
 
 def _variations_at_infinity(seq, side):

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
@@ -272,8 +273,8 @@ def _plain_bisect(ints, frame, depth):
     return k, e
 
 
-def _kernel(ints, frame, depth, path=(0, 0, None)):
-    path = roots._bisect(ints, frame, path, depth)
+def _kernel(ints, frame, depth, path=(0, 0, None), guess=None):
+    path = roots._bisect(ints, frame, path, depth, guess)
     return F(path[0], 1 << path[1]) if path[2] == 0 else path
 
 
@@ -524,6 +525,8 @@ def _level_sign(ints, frame, k, e):
 
 @pytest.mark.parametrize("kind", ["wrong cell", "outside", "nan", "inf", "neighbour"])
 def test_a_bad_float_guess_never_changes_a_cell(monkeypatch, kind):
+    """Neither a bad ``_guess`` nor a bad proposal kept from isolation moves
+    a cell: both are only where the exact Newton steps start."""
     coeffs = _ten_real_roots()
     floats = _root_floats(coeffs)
     guess = roots._guess
@@ -543,16 +546,22 @@ def test_a_bad_float_guess_never_changes_a_cell(monkeypatch, kind):
     monkeypatch.setattr(roots, "_seed", lambda *args, seed=roots._seed: seeded.append(1) or seed(*args))
     for ints, lo, hi in _isolated(coeffs):
         frame = roots._frame(lo, hi)
-        for depth in (9, 40, 64, 130):
-            got = _kernel(ints, frame, depth)
-            assert (got if isinstance(got, F) else got[:2]) == _plain_bisect(ints, frame, depth)
-        # plain bisection to 4096 levels is too slow an oracle, but the one
-        # cell of that level with a sign change at its ends is what it finds
-        k, e, _ = _kernel(ints, frame, 4096)
-        assert e == 4096 and 0 <= k < 1 << e
-        assert _level_sign(ints, frame, k, e) != _level_sign(ints, frame, k + 1, e)
-        stepped = _kernel(ints, frame, 20)
-        assert _kernel(ints, frame, 100, stepped) == _kernel(ints, frame, 100)
+        for kept in (None, bad(ints, float(lo), float(hi))):
+            for depth in (9, 40, 64, 130):
+                got = _kernel(ints, frame, depth, guess=kept)
+                assert (got if isinstance(got, F) else got[:2]) == _plain_bisect(ints, frame, depth)
+            # plain bisection to 4096 levels is too slow an oracle, but the one
+            # cell of that level with a sign change at its ends is what it finds
+            k, e, _ = _kernel(ints, frame, 4096, guess=kept)
+            assert e == 4096 and 0 <= k < 1 << e
+            assert _level_sign(ints, frame, k, e) != _level_sign(ints, frame, k + 1, e)
+            stepped = _kernel(ints, frame, 20, guess=kept)
+            assert _kernel(ints, frame, 100, stepped, kept) == _kernel(ints, frame, 100)
+            root = RootVal(ints=ints, lo=lo, hi=hi, guess=kept)
+            root.refine_to_width(F(1, 1 << 90))
+            plain = RootVal(ints=ints, lo=lo, hi=hi)
+            plain.refine_to_width(F(1, 1 << 90))
+            assert root.bounds() == plain.bounds()
     assert seeded
 
 
@@ -645,3 +654,131 @@ def test_seeds_certify_the_roots_of_a_large_star(monkeypatch):
     for root in found:
         lo, hi = root.bounds()
         assert hi - lo <= F(1, 1 << 64) and _sign(root.ints, lo) * _sign(root.ints, hi) < 0
+
+
+# ---------------------------------------------------------------------------
+# the certificate: float-proposed cells proven by exact signs
+
+
+@cache
+def _star_factors():
+    """(ints, 0, Cauchy bound + 1) for the square-free factors of seeded
+    centre and pendant characteristic polynomials with 9-33 masses, half of
+    them with a duplicated edge: the isolations ``forward`` runs."""
+    rng = random.Random(20264)
+
+    def value():
+        return F(rng.randint(1, 12), rng.randint(1, 12))
+
+    out = []
+    for total, q, root, dup in [(9, 3, Root.CENTER, False), (9, 4, Root.PENDANT, True),
+                                (13, 4, Root.CENTER, True), (17, 4, Root.PENDANT, False),
+                                (26, 5, Root.CENTER, True), (33, 4, Root.CENTER, False)]:
+        edges = [Edge(tuple(value() for _ in range(k + 1)), tuple(value() for _ in range(k)))
+                 for k in [total // q + (j < total % q) for j in range(q)]]
+        if dup:
+            edges[-1] = edges[-2]
+        central = F(rng.randint(0, 1))
+        if root is Root.CENTER:
+            graph = StarGraph(root, central, tuple(edges))
+        else:
+            graph = StarGraph(root, central, tuple(edges[1:]), edges[0])
+        for phi in char_polys(graph):
+            for factor, _ in squarefree_factor(phi):
+                ints = factor.primitive_int()
+                out.append((ints, F(0), roots._cauchy_bound(ints) + 1))
+    return tuple(out)
+
+
+def _oracle_pairs():
+    """(ints, a, b) for every square-free factor of the Sturm oracle's cases
+    on the intervals ``test_isolation_reproduces_sturm_leaves`` uses."""
+    out = []
+    for p, _, _ in _ISOLATION_CASES + _random_isolation_cases(random.Random(20263), 150):
+        for factor, _ in squarefree_factor(p):
+            ints = factor.primitive_int()
+            out += [(ints, a, b) for a, b in [(F(-1000), F(1000)), (F(-7, 3), F(11, 5))]
+                    if _sign(ints, a) and _sign(ints, b)]
+    return out
+
+
+def test_certificate_reproduces_sturm_leaves():
+    """A proven certificate gives the Sturm leaves.  It proves 69 of the
+    oracle's 333 factor/interval pairs, and every factor of the star
+    polynomials up to degree 18; at 26 and 33 masses float evaluation of
+    the monomial form loses the roots' order, and the tree runs."""
+    proven = {}
+    for name, pairs in (("oracle", _oracle_pairs()), ("star", _star_factors())):
+        proven[name] = []
+        for ints, a, b in pairs:
+            got = roots._certify(ints, a, b)
+            if got is not None:
+                assert [(lo, hi) for lo, hi, _ in got] == _sturm_leaves(ints, a, b)
+                proven[name].append(len(ints) - 1)
+    assert len(proven["oracle"]) >= 60
+    assert sorted(proven["star"]) == sorted(len(ints) - 1 for ints, _, _ in _star_factors() if len(ints) <= 19)
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "outside", "neighbour", "wrong cell"])
+def test_bad_proposals_leave_the_leaves_alone(monkeypatch, kind):
+    """Proposals that are not finite, lie outside the interval or repeat
+    fail the certificate, and proposals a third of the least gap (one to
+    three cells) off are corrected by ``_seed``; either way the leaves are
+    the tree's."""
+    proposals = roots._proposals
+
+    def bad(ints, start):
+        xs = proposals(ints, start)
+        i = len(xs) // 2
+        if kind in ("nan", "inf"):
+            xs[i] = float(kind)
+        elif kind == "outside":
+            xs[0] = start - 1
+        elif kind == "neighbour" and len(xs) > 1:
+            xs[i] = xs[i - 1]
+        elif kind == "wrong cell" and len(xs) > 1:
+            gap = min(y - x for x, y in zip(xs, xs[1:]))
+            xs = [x + gap / 3 for x in xs[:-1]] + xs[-1:]
+        return xs
+
+    cases = [(Poly([F(c) for c in _ten_real_roots()]), None, None)]
+    cases += [(Poly(ints), a, None) for ints, a, _ in _star_factors()[:8]]
+    seeded = []
+    monkeypatch.setattr(roots, "_seed", lambda *args, seed=roots._seed: seeded.append(1) or seed(*args))
+    for p, lo, hi in cases:
+        with monkeypatch.context() as m:
+            m.setattr(roots, "_proposals", bad)
+            got = _listing(p, lo, hi, True)
+        with monkeypatch.context() as m:
+            m.setattr(roots, "_certify", lambda *args: None)
+            assert got == _listing(p, lo, hi, True)
+    with monkeypatch.context() as m:
+        m.setattr(roots, "_proposals", bad)
+        verdicts = [roots._certify(ints, a, b) for ints, a, b in _star_factors()[:8] if len(ints) > 2]
+    if kind == "wrong cell":
+        assert seeded and all(verdicts)
+    else:
+        assert not any(verdicts)
+
+
+@pytest.mark.parametrize("p, lo, hi, proven", [
+    # roots on grid points: 1, 2 and 3 in the frame (0, 4)
+    (_product([-1, 1], [-2, 1], [-3, 1]), F(0), F(4), False),
+    # a complex pair within 2**-30 of the real axis next to a real root
+    (*_ISOLATION_CASES[9], False),
+    # two rationals 2**-45 apart: proven or not, the leaves are the tree's
+    (*_ISOLATION_CASES[6], None),
+])
+def test_certificate_falls_back_where_it_proves_nothing(monkeypatch, p, lo, hi, proven):
+    for factor, _ in squarefree_factor(p):
+        ints = factor.primitive_int()
+        a = lo if lo is not None else -roots._cauchy_bound(ints) - 1
+        b = hi if hi is not None else roots._cauchy_bound(ints) + 1
+        got = roots._certify(ints, a, b)
+        if proven is False:
+            assert got is None
+        elif got is not None:
+            assert [(x, y) for x, y, _ in got] == _sturm_leaves(ints, a, b)
+    got = _listing(p, lo, hi, True)
+    monkeypatch.setattr(roots, "_certify", lambda *args: None)
+    assert got == _listing(p, lo, hi, True)
